@@ -302,15 +302,19 @@ mod tests {
 
     #[test]
     fn stats_account_payload_bytes() {
-        let interner = Interner::global();
+        // A fresh table, not `Interner::global()`: sibling tests intern into
+        // the global one concurrently, which would break exact deltas.
+        let interner = Interner {
+            state: RwLock::new(InternerState::default()),
+        };
         let before = interner.stats();
         let marker = "stats-account-payload-bytes-unique-marker";
-        Symbol::intern(marker);
+        interner.intern(marker);
         let after = interner.stats();
         assert_eq!(after.symbols, before.symbols + 1);
         assert_eq!(after.bytes, before.bytes + marker.len());
         // Re-interning accounts nothing new.
-        Symbol::intern(marker);
+        interner.intern(marker);
         assert_eq!(interner.stats(), after);
     }
 

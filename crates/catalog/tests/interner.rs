@@ -2,14 +2,32 @@
 //! injectivity on distinct strings, and concurrency (one id per string no
 //! matter how many threads race to intern it).
 
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
 use proptest::prelude::*;
 use toorjah_catalog::{Interner, Symbol, Value};
+
+/// The interner is process-global and libtest runs this binary's tests on
+/// parallel threads, so a test asserting an exact change in
+/// `Interner::global()` would also count what a sibling interns meanwhile.
+/// Every interning test holds this lock shared; a test that measures the
+/// table holds it exclusively for its whole body.
+static GLOBAL_TABLE: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    GLOBAL_TABLE.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    GLOBAL_TABLE.write().unwrap_or_else(|e| e.into_inner())
+}
 
 proptest! {
     /// Interning is a bijection onto ids: resolve(intern(s)) == s, and
     /// re-interning the resolved payload yields the identical symbol.
     #[test]
     fn intern_resolve_intern_is_identity(s in ".{0,40}") {
+        let _table = shared();
         let sym = Symbol::intern(&s);
         prop_assert_eq!(sym.as_str(), s.as_str());
         prop_assert_eq!(Symbol::intern(sym.as_str()), sym);
@@ -19,6 +37,7 @@ proptest! {
     /// equal symbols), so symbol-id equality is string equality.
     #[test]
     fn distinct_strings_get_distinct_symbols(a in ".{0,24}", b in ".{0,24}") {
+        let _table = shared();
         let sa = Symbol::intern(&a);
         let sb = Symbol::intern(&b);
         prop_assert_eq!(a == b, sa == sb);
@@ -29,6 +48,7 @@ proptest! {
     /// twice compares equal and displays the original payload.
     #[test]
     fn value_str_roundtrip(s in "[^']{0,32}") {
+        let _table = shared();
         let v = Value::str(&s);
         let w = Value::str(&s);
         prop_assert_eq!(v, w);
@@ -43,6 +63,7 @@ fn concurrent_interning_yields_one_id_per_string() {
     // duplicates.
     const THREADS: usize = 8;
     const STRINGS: usize = 64;
+    let _table = exclusive();
     let payloads: Vec<String> = (0..STRINGS)
         .map(|i| format!("concurrent-intern-payload-{i}"))
         .collect();
@@ -77,8 +98,9 @@ fn concurrent_interning_yields_one_id_per_string() {
         }
     }
     // No duplicates: the table grew by at most STRINGS entries (exactly
-    // STRINGS if this test ran first, fewer only if another test already
-    // interned one of these payloads — impossible given the prefix).
+    // STRINGS on a first run, fewer only if these payloads were interned
+    // before `before` was read). Holding `GLOBAL_TABLE` exclusively keeps
+    // sibling tests from interning into the table inside this window.
     let after = Interner::global().len();
     assert!(
         after - before <= STRINGS,
@@ -91,6 +113,7 @@ fn concurrent_interning_yields_one_id_per_string() {
 
 #[test]
 fn interner_stats_track_symbols_and_bytes() {
+    let _table = exclusive();
     let before = Interner::global().stats();
     let sym = Symbol::intern("stats-tracking-witness-payload");
     let after = Interner::global().stats();

@@ -7,11 +7,12 @@
 //! shutdown.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use toorjah::cache::SharedAccessCache;
-use toorjah::engine::{InstanceSource, LatencySource};
+use toorjah::catalog::{RelationId, Schema, Tuple};
+use toorjah::engine::{EngineError, InstanceSource, SourceProvider};
 use toorjah::server::{
     reply_answers, reply_error_code, reply_number, reply_ok, Server, Service, ServiceConfig,
     WireClient,
@@ -25,6 +26,89 @@ fn music_system() -> Toorjah {
     Toorjah::builder(InstanceSource::new(schema, db))
         .cache(SharedAccessCache::unbounded())
         .build()
+}
+
+/// A one-shot gate: closed until [`Gate::open`], or until [`GATE_TIMEOUT`]
+/// passes, so a test that never opens it fails instead of hanging.
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+const GATE_TIMEOUT: Duration = Duration::from_secs(10);
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.opened.notify_all();
+    }
+
+    fn pass(&self) {
+        let open = self.open.lock().unwrap_or_else(|e| e.into_inner());
+        let _open = self
+            .opened
+            .wait_timeout_while(open, GATE_TIMEOUT, |open| !*open)
+            .unwrap_or_else(|e| e.into_inner());
+    }
+}
+
+/// A source whose accesses wait at a [`Gate`]. A request over it provably
+/// holds its execution slot until the test opens the gate; a real-sleep
+/// latency instead leaves that window to the scheduler, which misses it
+/// when sibling tests load the machine.
+struct GatedSource {
+    inner: InstanceSource,
+    gate: Arc<Gate>,
+}
+
+impl SourceProvider for GatedSource {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn access(&self, relation: RelationId, binding: &Tuple) -> Result<Vec<Tuple>, EngineError> {
+        self.gate.pass();
+        self.inner.access(relation, binding)
+    }
+
+    fn full_scan(&self, relation: RelationId) -> Option<Vec<Tuple>> {
+        self.inner.full_scan(relation)
+    }
+}
+
+/// [`music_system`] over a [`GatedSource`], plus its (closed) gate.
+fn gated_music_system() -> (Toorjah, Arc<Gate>) {
+    let schema = music_schema();
+    let db = music_instance(&schema, &MusicConfig::small());
+    let gate = Arc::new(Gate {
+        open: Mutex::new(false),
+        opened: Condvar::new(),
+    });
+    let source = GatedSource {
+        inner: InstanceSource::new(schema, db),
+        gate: Arc::clone(&gate),
+    };
+    let system = Toorjah::builder(source)
+        .cache(SharedAccessCache::unbounded())
+        .build();
+    (system, gate)
+}
+
+/// Polls the daemon's metrics over `client` until a request holds an
+/// execution slot.
+fn await_inflight(client: &mut WireClient) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let metrics = client.metrics().expect("metrics");
+        if reply_number(&metrics, "inflight") == Some(1) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no request entered execution: {metrics}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Starts a server over the small music instance and returns its address
@@ -183,13 +267,7 @@ fn budget_exhaustion_is_a_typed_error_and_tenant_scoped() {
 /// bounded refusal, not unbounded queuing — and a later retry succeeds.
 #[test]
 fn over_admission_rejects_with_retry_after() {
-    let schema = music_schema();
-    let db = music_instance(&schema, &MusicConfig::small());
-    let slow = LatencySource::new(InstanceSource::new(schema, db), Duration::from_millis(30))
-        .with_real_sleep();
-    let system = Toorjah::builder(slow)
-        .cache(SharedAccessCache::unbounded())
-        .build();
+    let (system, gate) = gated_music_system();
     let config = ServiceConfig {
         max_inflight: 1,
         max_queue: 0,
@@ -201,42 +279,19 @@ fn over_admission_rejects_with_retry_after() {
     let server = std::thread::spawn(move || server.run().expect("server run"));
 
     let statement = "q(N) <- r1('a0', N, Y)";
-    // Whichever tenant is admitted first holds the slot for the whole
-    // 30ms-per-access cold execution; the other must be rejected with the
-    // configured hint. Admission order is a genuine race (either side can
-    // win under scheduler load), so the holder retries rejections until it
-    // succeeds and reports the first one it saw.
-    let slow_holder = {
-        let statement = statement.to_string();
-        std::thread::spawn(move || -> Option<String> {
-            let mut client = WireClient::connect(addr, "holder").expect("connect");
-            let mut first_rejection = None;
-            loop {
-                let reply = client.ask(&statement).expect("round trip");
-                if reply_ok(&reply) {
-                    return first_rejection;
-                }
-                first_rejection.get_or_insert(reply);
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        })
-    };
-    // The holder's start is asynchronous, so allow a few attempts to land
-    // one inside its execution window.
+    // The holder's execution waits at the closed gate, so it holds the
+    // only slot until the gate opens.
+    let holder = std::thread::spawn(move || {
+        let mut client = WireClient::connect(addr, "holder").expect("connect");
+        client.ask(statement).expect("round trip")
+    });
     let mut client = WireClient::connect(addr, "pushy").expect("connect");
-    let mut rejected = None;
-    for _ in 0..50 {
-        let reply = client.ask(statement).expect("round trip");
-        if !reply_ok(&reply) {
-            rejected = Some(reply);
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let holder_rejection = slow_holder.join().expect("holder");
-    let rejected = rejected
-        .or(holder_rejection)
-        .expect("a single-slot daemon under load must reject");
+    await_inflight(&mut client);
+    let rejected = client.ask(statement).expect("round trip");
+    assert!(
+        !reply_ok(&rejected),
+        "a single-slot daemon under load must reject: {rejected}"
+    );
     assert_eq!(
         reply_error_code(&rejected),
         Some("admission_rejected"),
@@ -247,6 +302,9 @@ fn over_admission_rejects_with_retry_after() {
         Some(10),
         "{rejected}"
     );
+    gate.open();
+    let held = holder.join().expect("holder");
+    assert!(reply_ok(&held), "the slot holder must be answered: {held}");
     // After the slot frees, the same tenant's retry succeeds.
     let reply = client.ask(statement).expect("round trip");
     assert!(
@@ -264,13 +322,7 @@ fn over_admission_rejects_with_retry_after() {
 /// server exits cleanly.
 #[test]
 fn shutdown_drains_in_flight_requests() {
-    let schema = music_schema();
-    let db = music_instance(&schema, &MusicConfig::small());
-    let slow = LatencySource::new(InstanceSource::new(schema, db), Duration::from_millis(20))
-        .with_real_sleep();
-    let system = Toorjah::builder(slow)
-        .cache(SharedAccessCache::unbounded())
-        .build();
+    let (system, gate) = gated_music_system();
     let server = Server::bind(
         "127.0.0.1:0",
         Service::new(system, ServiceConfig::default()),
@@ -285,11 +337,12 @@ fn shutdown_drains_in_flight_requests() {
             .ask("q(N) <- r1('a0', N, Y)")
             .expect("the in-flight request must be answered, not dropped")
     });
-    // Give the slow request time to enter execution, then shut down.
-    std::thread::sleep(Duration::from_millis(10));
+    // Shut down while the slow request is executing, then let it finish.
     let mut control = WireClient::connect(addr, "control").expect("connect");
+    await_inflight(&mut control);
     let reply = control.shutdown().expect("shutdown");
     assert!(reply_ok(&reply), "{reply}");
+    gate.open();
 
     let reply = in_flight.join().expect("in-flight thread");
     assert!(

@@ -1,13 +1,16 @@
 //! The sharded store: per-shard maps under `parking_lot` locks, single-flight
 //! miss coalescing, and lazy-LRU eviction.
 
-use std::collections::hash_map::Entry;
+use std::borrow::Borrow;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{
+    Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock, PoisonError,
+};
 
 use parking_lot::Mutex;
-use toorjah_catalog::{AccessKey, RelationId, Tuple};
+use toorjah_catalog::{AccessKey, FastHasher, RelationId, Tuple};
 use toorjah_obs::{EventKind, Obs};
 
 use crate::{CacheConfig, CacheStats, Counters, ShardCounters};
@@ -15,6 +18,92 @@ use crate::{CacheConfig, CacheStats, Counters, ShardCounters};
 /// Cache key: one access in the paper's sense (§II) — a relation plus the
 /// tuple of values bound to its input positions.
 pub(crate) type Key = AccessKey;
+
+/// Builds the shard maps' hashers: [`FastHasher`]'s word-at-a-time rounds,
+/// started from a seed drawn per cache instance and finished with a seeded
+/// folded multiply.
+///
+/// A shared cache keys on constants that clients supply (the daemon's
+/// tenants), so with a fixed hash a client could choose keys that all land
+/// in one bucket. The seed enters before the first word and again in the
+/// finish, which carries every state bit into the low (bucket-index) bits,
+/// so which keys collide differs from one cache to the next. This hardens
+/// the maps against hash flooding; it is not a cryptographic MAC.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KeyHashing {
+    seed: u64,
+}
+
+impl KeyHashing {
+    /// A fresh, unpredictable seed: `RandomState` is keyed from the
+    /// operating system's randomness and stepped per instance, so hashing
+    /// nothing through a new one yields a new word each time.
+    fn random() -> Self {
+        KeyHashing {
+            seed: RandomState::new().build_hasher().finish(),
+        }
+    }
+}
+
+impl BuildHasher for KeyHashing {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        let mut fast = FastHasher::default();
+        fast.write_u64(self.seed);
+        KeyHasher {
+            fast,
+            seed: self.seed,
+        }
+    }
+}
+
+/// The hasher [`KeyHashing`] builds.
+pub(crate) struct KeyHasher {
+    fast: FastHasher,
+    seed: u64,
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        let full = u128::from(self.fast.finish() ^ self.seed) * u128::from(FOLD);
+        (full as u64) ^ ((full >> 64) as u64)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.fast.write(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.fast.write_u8(i);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.fast.write_u16(i);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.fast.write_u32(i);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.fast.write_u64(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.fast.write_usize(i);
+    }
+}
+
+/// The finish's multiplier (odd; the 64-bit golden ratio).
+const FOLD: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// How a lookup was satisfied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -88,50 +177,66 @@ impl<E> BatchLookup<E> {
     }
 }
 
-/// In-flight access shared between the performing thread (the *leader*) and
-/// any threads that requested the same key meanwhile (the *waiters*).
+/// The in-flight accesses of one led batch, shared between the thread
+/// performing them (the *leader*) and any threads that requested one of its
+/// keys meanwhile (the *waiters*). A key's `Pending` slot names the flight
+/// and the key's position in the batch.
 struct Flight {
     state: StdMutex<FlightState>,
     cv: Condvar,
 }
 
-enum FlightState {
-    Running,
-    Ready(Arc<[Tuple]>),
-    Failed,
+#[derive(Default)]
+struct FlightState {
+    /// Set once the leader has settled every position.
+    done: bool,
+    /// Per batch position: the extraction, or `None` when that access
+    /// failed or was never attempted (its waiters then retry).
+    results: Vec<Option<Arc<[Tuple]>>>,
 }
 
 impl Flight {
     fn new() -> Arc<Self> {
         Arc::new(Flight {
-            state: StdMutex::new(FlightState::Running),
+            state: StdMutex::new(FlightState::default()),
             cv: Condvar::new(),
         })
     }
 
-    /// Blocks until the leader finishes; `None` means the leader's access
-    /// failed and the caller should retry (becoming a leader itself).
-    fn wait(&self) -> Option<Arc<[Tuple]>> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            match &*state {
-                FlightState::Running => {
-                    state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-                }
-                FlightState::Ready(tuples) => return Some(Arc::clone(tuples)),
-                FlightState::Failed => return None,
-            }
+    /// Blocks until the leader has settled the batch; `None` means the
+    /// access at `pos` failed and the caller should retry (becoming a
+    /// leader itself).
+    fn wait(&self, pos: usize) -> Option<Arc<[Tuple]>> {
+        let mut state = lock(&self.state);
+        while !state.done {
+            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
+        state.results.get(pos).cloned().flatten()
     }
 
-    fn finish(&self, outcome: Option<Arc<[Tuple]>>) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *state = match outcome {
-            Some(tuples) => FlightState::Ready(tuples),
-            None => FlightState::Failed,
-        };
+    /// Marks the batch settled and wakes every waiter.
+    fn finish(&self, mut state: StdMutexGuard<'_, FlightState>) {
+        state.done = true;
         drop(state);
         self.cv.notify_all();
+    }
+}
+
+/// Locks a flight's state; a leader that panicked mid-settlement leaves it
+/// consistent (unsettled positions read as failed), so poison is ignored.
+fn lock(state: &StdMutex<FlightState>) -> StdMutexGuard<'_, FlightState> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The extraction of a performed access. Accesses that return nothing —
+/// most of them, on selective sources — share one empty extraction instead
+/// of allocating one each.
+fn extraction(tuples: Vec<Tuple>) -> Arc<[Tuple]> {
+    static EMPTY: OnceLock<Arc<[Tuple]>> = OnceLock::new();
+    if tuples.is_empty() {
+        Arc::clone(EMPTY.get_or_init(|| Arc::from(Vec::new())))
+    } else {
+        tuples.into()
     }
 }
 
@@ -144,48 +249,60 @@ struct Ready {
 
 enum Slot {
     Ready(Ready),
-    Pending(Arc<Flight>),
+    /// Claimed by a led batch: its flight and this key's position in it.
+    Pending(Arc<Flight>, usize),
+}
+
+/// Lazy recency queue: `(tick, key)` pushed on every touch; stale pairs
+/// (the entry was touched again, or is gone) are skipped at eviction time
+/// and dropped wholesale by [`Shard::compact_recency`]. Amortized O(1) per
+/// touch and per eviction, O(retained entries) in space.
+#[derive(Default)]
+struct Recency {
+    queue: VecDeque<(u64, Key)>,
+    /// `false` for unbounded caches: nothing will ever be evicted, so
+    /// recency bookkeeping would only leak memory per lookup.
+    tracks: bool,
+    tick: u64,
+}
+
+impl Recency {
+    fn touch(&mut self, key: &Key) -> u64 {
+        self.tick += 1;
+        if self.tracks {
+            self.queue.push_back((self.tick, key.clone()));
+        }
+        self.tick
+    }
 }
 
 /// One independently locked slice of the cache.
-#[derive(Default)]
 pub(crate) struct Shard {
-    map: HashMap<Key, Slot>,
-    /// Lazy recency queue: `(tick, key)` pushed on every touch; stale pairs
-    /// (the entry was touched again, or is gone) are skipped at eviction
-    /// time and dropped wholesale by [`Shard::compact_recency`]. Amortized
-    /// O(1) per touch and per eviction, O(retained entries) in space.
-    recency: VecDeque<(u64, Key)>,
-    /// `false` for unbounded caches: nothing will ever be evicted, so
-    /// recency bookkeeping would only leak memory per lookup.
-    tracks_recency: bool,
-    tick: u64,
+    map: HashMap<Key, Slot, KeyHashing>,
+    recency: Recency,
     ready_entries: usize,
     bytes: usize,
 }
 
 impl Shard {
-    fn new(tracks_recency: bool) -> Self {
+    fn new(tracks_recency: bool, hashing: KeyHashing) -> Self {
         Shard {
-            tracks_recency,
-            ..Shard::default()
+            map: HashMap::with_hasher(hashing),
+            recency: Recency {
+                tracks: tracks_recency,
+                ..Recency::default()
+            },
+            ready_entries: 0,
+            bytes: 0,
         }
-    }
-
-    fn touch(&mut self, key: &Key) -> u64 {
-        self.tick += 1;
-        if self.tracks_recency {
-            self.recency.push_back((self.tick, key.clone()));
-            self.compact_recency();
-        }
-        self.tick
     }
 
     /// Rebuilds the recency queue from the live entries once stale pairs
     /// dominate it, so hit-heavy workloads between evictions cannot grow
     /// the bookkeeping beyond O(retained entries).
     fn compact_recency(&mut self) {
-        if self.recency.len() < 64 || self.recency.len() < 4 * self.ready_entries {
+        let queue = &mut self.recency.queue;
+        if queue.len() < 64 || queue.len() < 4 * self.ready_entries {
             return;
         }
         let mut live: Vec<(u64, Key)> = self
@@ -193,11 +310,11 @@ impl Shard {
             .iter()
             .filter_map(|(key, slot)| match slot {
                 Slot::Ready(ready) => Some((ready.last_used, key.clone())),
-                Slot::Pending(_) => None,
+                Slot::Pending(..) => None,
             })
             .collect();
         live.sort_unstable_by_key(|(last_used, _)| *last_used);
-        self.recency = live.into();
+        *queue = live.into();
     }
 
     /// Evicts least-recently-used ready entries until the shard respects its
@@ -210,7 +327,7 @@ impl Shard {
         obs: Obs,
     ) {
         while self.ready_entries > max_entries || self.bytes > max_bytes {
-            let Some((tick, key)) = self.recency.pop_front() else {
+            let Some((tick, key)) = self.recency.queue.pop_front() else {
                 // Only pending entries remain; nothing evictable.
                 break;
             };
@@ -339,10 +456,12 @@ impl SharedAccessCache {
         let (max_entries_per_shard, max_bytes_per_shard) = config.shard_budget();
         let tracks_recency =
             max_entries_per_shard != usize::MAX || max_bytes_per_shard != usize::MAX;
+        // One seed per instance, shared by its shards' maps.
+        let hashing = KeyHashing::random();
         SharedAccessCache {
             inner: Arc::new(Inner {
                 shards: (0..shards)
-                    .map(|_| Mutex::new(Shard::new(tracks_recency)))
+                    .map(|_| Mutex::new(Shard::new(tracks_recency, hashing)))
                     .collect(),
                 counters: (0..shards).map(|_| Counters::default()).collect(),
                 config,
@@ -364,19 +483,27 @@ impl SharedAccessCache {
     }
 
     /// The index of the shard owning `key`; every lock acquisition and
-    /// counter bump for the key goes through this one index.
+    /// counter bump for the key goes through this one index, computed once
+    /// per request.
+    ///
+    /// The partition is a fixed function of the key (`std`'s SipHash under
+    /// its default keys), independent of the seeded hash a shard's map
+    /// indexes its buckets by. A bounded cache splits its budget evenly
+    /// over the shards, so the partition decides which entries compete for
+    /// room: a per-instance random partition would make evictions — and
+    /// with them hits, misses and access counts — differ from one run of
+    /// the same workload to the next. Piling keys into one shard costs an
+    /// adversary nothing it could not do by requesting more keys; piling
+    /// them into one bucket is what the seeded map hash prevents.
     fn shard_index(&self, key: &Key) -> usize {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
         (hasher.finish() as usize) % self.inner.shards.len()
     }
 
-    fn shard_for(&self, key: &Key) -> &Mutex<Shard> {
-        &self.inner.shards[self.shard_index(key)]
-    }
-
     /// Serves the access for `(relation, binding)` from the cache, or
-    /// performs it via `load` and retains the extraction.
+    /// performs it via `load` and retains the extraction: a one-request
+    /// [`SharedAccessCache::get_or_load_batch`].
     ///
     /// Concurrency: if an identical access is already in flight, the caller
     /// blocks until it completes and shares its result
@@ -390,321 +517,90 @@ impl SharedAccessCache {
         load: impl FnOnce() -> Result<Vec<Tuple>, E>,
     ) -> Result<Lookup, E> {
         let key: Key = (relation, binding.clone());
-        let counters = &self.inner.counters[self.shard_index(&key)];
         let mut load = Some(load);
-        loop {
-            enum Action {
-                Serve(Arc<[Tuple]>),
-                Wait(Arc<Flight>),
-                Lead(Arc<Flight>),
-            }
-            let action = {
-                let mut shard = self.shard_for(&key).lock();
-                // Fast path: the extraction is retained. Clone the Arc first
-                // so the immutable borrow ends before the recency touch.
-                let retained = match shard.map.get(&key) {
-                    Some(Slot::Ready(ready)) => Some(Arc::clone(&ready.tuples)),
-                    _ => None,
-                };
-                if let Some(tuples) = retained {
-                    let tick = shard.touch(&key);
-                    if let Some(Slot::Ready(ready)) = shard.map.get_mut(&key) {
-                        ready.last_used = tick;
-                    }
-                    Action::Serve(tuples)
-                } else {
-                    match shard.map.entry(key.clone()) {
-                        Entry::Occupied(occupied) => match occupied.get() {
-                            Slot::Pending(flight) => Action::Wait(Arc::clone(flight)),
-                            Slot::Ready(_) => unreachable!("handled by the fast path"),
-                        },
-                        Entry::Vacant(vacant) => {
-                            let flight = Flight::new();
-                            vacant.insert(Slot::Pending(Arc::clone(&flight)));
-                            Action::Lead(flight)
-                        }
-                    }
-                }
-            };
-            match action {
-                Action::Serve(tuples) => {
-                    Counters::bump(&counters.hits);
-                    return Ok(Lookup {
-                        tuples,
-                        outcome: LookupOutcome::Hit,
-                    });
-                }
-                Action::Wait(flight) => match flight.wait() {
-                    Some(tuples) => {
-                        Counters::bump(&counters.coalesced_hits);
-                        self.inner
-                            .obs
-                            .trace(0, || EventKind::BatchCoalesced { key: key.clone() });
-                        return Ok(Lookup {
-                            tuples,
-                            outcome: LookupOutcome::CoalescedHit,
-                        });
-                    }
-                    // The leader failed; retry (and possibly lead).
-                    None => continue,
-                },
-                Action::Lead(flight) => {
-                    // Panic safety: if `load` (user code) unwinds, the guard
-                    // clears the pending slot and fails the flight so that
-                    // waiters retry instead of blocking forever on a key
-                    // nobody will ever complete.
-                    struct LeadGuard<'a> {
-                        cache: &'a SharedAccessCache,
-                        key: &'a Key,
-                        flight: &'a Flight,
-                        armed: bool,
-                    }
-                    impl Drop for LeadGuard<'_> {
-                        fn drop(&mut self) {
-                            if self.armed {
-                                self.cache.abort_load(self.key);
-                                self.flight.finish(None);
-                            }
-                        }
-                    }
-                    let mut guard = LeadGuard {
-                        cache: self,
-                        key: &key,
-                        flight: &flight,
-                        armed: true,
-                    };
-                    let result = (load.take().expect("a caller leads at most once"))();
-                    return match result {
-                        Ok(tuples) => {
-                            let tuples: Arc<[Tuple]> = tuples.into();
-                            self.complete_load(&key, Arc::clone(&tuples));
-                            Counters::bump(&counters.misses);
-                            flight.finish(Some(Arc::clone(&tuples)));
-                            guard.armed = false;
-                            Ok(Lookup {
-                                tuples,
-                                outcome: LookupOutcome::Loaded,
-                            })
-                        }
-                        Err(e) => {
-                            guard.armed = false;
-                            self.abort_load(&key);
-                            Counters::bump(&counters.load_failures);
-                            flight.finish(None);
-                            Err(e)
-                        }
-                    };
-                }
-            }
+        let mut outcome = None;
+        self.batch_loader().load(
+            std::slice::from_ref(&key),
+            |_| {
+                let load = load.take().expect("a caller leads a key at most once");
+                vec![match load() {
+                    Ok(tuples) => LoadResult::Loaded(tuples),
+                    Err(e) => LoadResult::Failed(e),
+                }]
+            },
+            |_, lookup| outcome = Some(lookup),
+        );
+        match outcome.expect("the request is resolved") {
+            BatchLookup::Served(lookup) => Ok(lookup),
+            BatchLookup::Failed(e) => Err(e),
+            BatchLookup::Skipped => unreachable!("a one-key load reports its outcome"),
         }
     }
 
     /// Batched [`SharedAccessCache::get_or_load`]: resolves every request of
-    /// `requests` with (at most) one loader invocation per resolution round.
-    ///
-    /// Retained requests are served as hits; requests currently led by a
-    /// concurrent caller are waited on and coalesced; every remaining
-    /// request is *claimed at once* — its `Pending` slot inserted under the
-    /// shard lock — and the full set of claimed keys is handed to `load` in
-    /// a single call, so a provider with a batched endpoint pays one round
-    /// trip for the whole miss set. The loader must return one
-    /// [`LoadResult`] per key it was given, in order (missing entries are
-    /// treated as `Skipped`): `Loaded` extractions are retained and their
-    /// single-flight waiters woken; `Failed` and `Skipped` entries retain
-    /// nothing, and waiters retry from scratch — exactly the failure
-    /// semantics of a single-key load.
-    ///
-    /// Duplicate keys within `requests` are loaded once: later occurrences
-    /// are served as plain hits of the first occurrence's extraction, or
-    /// mirror its failure as `Skipped`.
-    ///
-    /// `load` is `FnMut` because a wait on a concurrent leader's flight can
-    /// fail (that leader's access errored), in which case this caller
-    /// re-classifies the key — possibly leading it — and invokes the loader
-    /// again with the smaller key set.
+    /// `requests` with (at most) one loader invocation per resolution round,
+    /// and returns the outcomes aligned with `requests`. See
+    /// [`BatchLoader::load`] for the semantics; this is a one-call loader
+    /// that collects the outcomes.
     pub fn get_or_load_batch<E>(
         &self,
-        requests: &[Key],
-        mut load: impl FnMut(&[Key]) -> Vec<LoadResult<E>>,
+        requests: &[impl Borrow<Key>],
+        load: impl FnMut(&[Key]) -> Vec<LoadResult<E>>,
     ) -> Vec<BatchLookup<E>> {
         let mut out: Vec<Option<BatchLookup<E>>> = requests.iter().map(|_| None).collect();
-        let mut unresolved: Vec<usize> = (0..requests.len()).collect();
-        while !unresolved.is_empty() {
-            let mut led: Vec<(usize, Arc<Flight>)> = Vec::new();
-            let mut waits: Vec<(usize, Arc<Flight>)> = Vec::new();
-            let mut dups: Vec<(usize, usize)> = Vec::new();
-            let mut leader_of: HashMap<&Key, usize> = HashMap::new();
-            for &i in &unresolved {
-                let key = &requests[i];
-                if let Some(&leader) = leader_of.get(key) {
-                    dups.push((i, leader));
-                    continue;
-                }
-                let idx = self.shard_index(key);
-                let mut shard = self.inner.shards[idx].lock();
-                let retained = match shard.map.get(key) {
-                    Some(Slot::Ready(ready)) => Some(Arc::clone(&ready.tuples)),
-                    _ => None,
-                };
-                if let Some(tuples) = retained {
-                    let tick = shard.touch(key);
-                    if let Some(Slot::Ready(ready)) = shard.map.get_mut(key) {
-                        ready.last_used = tick;
-                    }
-                    drop(shard);
-                    Counters::bump(&self.inner.counters[idx].hits);
-                    out[i] = Some(BatchLookup::Served(Lookup {
-                        tuples,
-                        outcome: LookupOutcome::Hit,
-                    }));
-                } else {
-                    match shard.map.entry(key.clone()) {
-                        Entry::Occupied(occupied) => match occupied.get() {
-                            Slot::Pending(flight) => waits.push((i, Arc::clone(flight))),
-                            Slot::Ready(_) => unreachable!("handled by the fast path"),
-                        },
-                        Entry::Vacant(vacant) => {
-                            let flight = Flight::new();
-                            vacant.insert(Slot::Pending(Arc::clone(&flight)));
-                            leader_of.insert(key, i);
-                            led.push((i, flight));
-                        }
-                    }
-                }
-            }
-
-            if !led.is_empty() {
-                // Panic safety: if `load` (user code) unwinds, fail every
-                // led flight so concurrent waiters retry instead of blocking
-                // forever on keys nobody will ever complete.
-                struct BatchGuard<'a> {
-                    cache: &'a SharedAccessCache,
-                    requests: &'a [Key],
-                    led: &'a [(usize, Arc<Flight>)],
-                    armed: bool,
-                }
-                impl Drop for BatchGuard<'_> {
-                    fn drop(&mut self) {
-                        if self.armed {
-                            for (i, flight) in self.led {
-                                self.cache.abort_load(&self.requests[*i]);
-                                flight.finish(None);
-                            }
-                        }
-                    }
-                }
-                let keys: Vec<Key> = led.iter().map(|(i, _)| requests[*i].clone()).collect();
-                let mut guard = BatchGuard {
-                    cache: self,
-                    requests,
-                    led: &led,
-                    armed: true,
-                };
-                let mut results = load(&keys);
-                guard.armed = false;
-                drop(guard);
-                debug_assert_eq!(results.len(), led.len(), "one LoadResult per led key");
-                while results.len() < led.len() {
-                    results.push(LoadResult::Skipped);
-                }
-                for ((i, flight), result) in led.into_iter().zip(results) {
-                    let key = &requests[i];
-                    let counters = &self.inner.counters[self.shard_index(key)];
-                    match result {
-                        LoadResult::Loaded(tuples) => {
-                            let tuples: Arc<[Tuple]> = tuples.into();
-                            self.complete_load(key, Arc::clone(&tuples));
-                            Counters::bump(&counters.misses);
-                            flight.finish(Some(Arc::clone(&tuples)));
-                            out[i] = Some(BatchLookup::Served(Lookup {
-                                tuples,
-                                outcome: LookupOutcome::Loaded,
-                            }));
-                        }
-                        LoadResult::Failed(e) => {
-                            self.abort_load(key);
-                            Counters::bump(&counters.load_failures);
-                            flight.finish(None);
-                            out[i] = Some(BatchLookup::Failed(e));
-                        }
-                        LoadResult::Skipped => {
-                            self.abort_load(key);
-                            flight.finish(None);
-                            out[i] = Some(BatchLookup::Skipped);
-                        }
-                    }
-                }
-            }
-
-            // Duplicates of keys this round led: hits of the leader's
-            // extraction (the sequential path would find them retained).
-            for (i, leader) in dups {
-                out[i] = Some(match &out[leader] {
-                    Some(BatchLookup::Served(lookup)) => {
-                        Counters::bump(&self.inner.counters[self.shard_index(&requests[i])].hits);
-                        BatchLookup::Served(Lookup {
-                            tuples: Arc::clone(&lookup.tuples),
-                            outcome: LookupOutcome::Hit,
-                        })
-                    }
-                    _ => BatchLookup::Skipped,
-                });
-            }
-
-            // Wait on concurrent leaders; a failed flight sends its key back
-            // through classification (this caller may lead it next round).
-            let mut next_unresolved = Vec::new();
-            for (i, flight) in waits {
-                match flight.wait() {
-                    Some(tuples) => {
-                        let key = &requests[i];
-                        Counters::bump(&self.inner.counters[self.shard_index(key)].coalesced_hits);
-                        self.inner
-                            .obs
-                            .trace(0, || EventKind::BatchCoalesced { key: key.clone() });
-                        out[i] = Some(BatchLookup::Served(Lookup {
-                            tuples,
-                            outcome: LookupOutcome::CoalescedHit,
-                        }));
-                    }
-                    None => next_unresolved.push(i),
-                }
-            }
-            unresolved = next_unresolved;
-        }
+        self.batch_loader()
+            .load(requests, load, |i, lookup| out[i] = Some(lookup));
         out.into_iter()
             .map(|o| o.expect("every request is resolved"))
             .collect()
     }
 
+    /// A loader for a run of batched lookups against this cache; keep one
+    /// per thread for as long as batches keep coming (see [`BatchLoader`]).
+    pub fn batch_loader(&self) -> BatchLoader<'_> {
+        BatchLoader {
+            cache: self,
+            flight: None,
+            hits: Vec::new(),
+            led: Vec::new(),
+            keys: Vec::new(),
+            waits: Vec::new(),
+            repeats: Vec::new(),
+            retry: Vec::new(),
+        }
+    }
+
     /// Replaces this caller's pending slot with the loaded extraction and
     /// enforces the shard budget.
-    fn complete_load(&self, key: &Key, tuples: Arc<[Tuple]>) {
-        let bytes = entry_bytes(&key.1, &tuples);
-        let idx = self.shard_index(key);
-        let mut shard = self.inner.shards[idx].lock();
+    fn complete_load(&self, idx: usize, key: &Key, tuples: &Arc<[Tuple]>) {
+        let bytes = entry_bytes(&key.1, tuples);
+        let mut guard = self.inner.shards[idx].lock();
+        let shard = &mut *guard;
         if bytes > self.inner.max_bytes_per_shard {
             // Oversized for its shard's budget slice: hand the extraction
             // to the caller without retaining it, instead of flushing every
             // smaller (collectively more useful) entry to make room.
-            if matches!(shard.map.get(key), Some(Slot::Pending(_))) {
+            if matches!(shard.map.get(key), Some(Slot::Pending(..))) {
                 shard.map.remove(key);
             }
-            drop(shard);
+            drop(guard);
             Counters::bump(&self.inner.counters[idx].oversized);
             return;
         }
-        let tick = shard.touch(key);
-        shard.map.insert(
-            key.clone(),
-            Slot::Ready(Ready {
-                tuples,
-                bytes,
-                last_used: tick,
-            }),
-        );
+        let ready = Slot::Ready(Ready {
+            tuples: Arc::clone(tuples),
+            bytes,
+            last_used: shard.recency.touch(key),
+        });
+        match shard.map.get_mut(key) {
+            Some(slot) => *slot = ready,
+            None => {
+                shard.map.insert(key.clone(), ready);
+            }
+        }
         shard.ready_entries += 1;
         shard.bytes += bytes;
+        shard.compact_recency();
         shard.evict_to_budget(
             self.inner.max_entries_per_shard,
             self.inner.max_bytes_per_shard,
@@ -714,9 +610,9 @@ impl SharedAccessCache {
     }
 
     /// Removes this caller's pending slot after a failed load.
-    fn abort_load(&self, key: &Key) {
-        let mut shard = self.shard_for(key).lock();
-        if matches!(shard.map.get(key), Some(Slot::Pending(_))) {
+    fn abort_load(&self, idx: usize, key: &Key) {
+        let mut shard = self.inner.shards[idx].lock();
+        if matches!(shard.map.get(key), Some(Slot::Pending(..))) {
             shard.map.remove(key);
         }
     }
@@ -728,19 +624,15 @@ impl SharedAccessCache {
     pub fn try_get(&self, relation: RelationId, binding: &Tuple) -> Option<Arc<[Tuple]>> {
         let key: Key = (relation, binding.clone());
         let idx = self.shard_index(&key);
-        let mut shard = self.inner.shards[idx].lock();
-        let tick = {
-            match shard.map.get(&key) {
-                Some(Slot::Ready(_)) => shard.touch(&key),
-                _ => return None,
-            }
-        };
+        let mut guard = self.inner.shards[idx].lock();
+        let shard = &mut *guard;
         let Some(Slot::Ready(ready)) = shard.map.get_mut(&key) else {
             return None;
         };
-        ready.last_used = tick;
+        ready.last_used = shard.recency.touch(&key);
         let tuples = Arc::clone(&ready.tuples);
-        drop(shard);
+        shard.compact_recency();
+        drop(guard);
         Counters::bump(&self.inner.counters[idx].hits);
         Some(tuples)
     }
@@ -752,33 +644,37 @@ impl SharedAccessCache {
         let key: Key = (relation, binding.clone());
         let bytes = entry_bytes(binding, &tuples);
         let idx = self.shard_index(&key);
-        let mut shard = self.inner.shards[idx].lock();
-        if shard.map.contains_key(&key) {
-            return false;
-        }
+        let mut guard = self.inner.shards[idx].lock();
+        let shard = &mut *guard;
         if bytes > self.inner.max_bytes_per_shard {
-            drop(shard);
-            Counters::bump(&self.inner.counters[idx].oversized);
+            let present = shard.map.contains_key(&key);
+            drop(guard);
+            if !present {
+                Counters::bump(&self.inner.counters[idx].oversized);
+            }
             return false;
         }
-        let tick = shard.touch(&key);
-        shard.map.insert(
-            key,
-            Slot::Ready(Ready {
-                tuples: tuples.into(),
-                bytes,
-                last_used: tick,
-            }),
-        );
+        match shard.map.entry(key) {
+            Entry::Occupied(_) => return false,
+            Entry::Vacant(vacant) => {
+                let last_used = shard.recency.touch(vacant.key());
+                vacant.insert(Slot::Ready(Ready {
+                    tuples: extraction(tuples),
+                    bytes,
+                    last_used,
+                }));
+            }
+        }
         shard.ready_entries += 1;
         shard.bytes += bytes;
+        shard.compact_recency();
         shard.evict_to_budget(
             self.inner.max_entries_per_shard,
             self.inner.max_bytes_per_shard,
             &self.inner.counters[idx],
             self.inner.obs,
         );
-        drop(shard);
+        drop(guard);
         Counters::bump(&self.inner.counters[idx].insertions);
         true
     }
@@ -787,7 +683,10 @@ impl SharedAccessCache {
     /// result means requesting it will not start a *new* source access.
     pub fn contains(&self, relation: RelationId, binding: &Tuple) -> bool {
         let key: Key = (relation, binding.clone());
-        self.shard_for(&key).lock().map.contains_key(&key)
+        self.inner.shards[self.shard_index(&key)]
+            .lock()
+            .map
+            .contains_key(&key)
     }
 
     /// Number of retained extractions (in-flight accesses excluded).
@@ -814,8 +713,10 @@ impl SharedAccessCache {
     pub fn clear(&self) {
         for shard in &self.inner.shards {
             let mut shard = shard.lock();
-            shard.map.retain(|_, slot| matches!(slot, Slot::Pending(_)));
-            shard.recency.clear();
+            shard
+                .map
+                .retain(|_, slot| matches!(slot, Slot::Pending(..)));
+            shard.recency.queue.clear();
             shard.ready_entries = 0;
             shard.bytes = 0;
         }
@@ -870,6 +771,314 @@ impl SharedAccessCache {
     }
 }
 
+/// How one request was classified under its shard's lock.
+enum Class {
+    /// Retained: served from the cache.
+    Hit(Arc<[Tuple]>),
+    /// Claimed by this batch at the given position.
+    Led,
+    /// A repeat of a key this batch already leads, at that position.
+    Repeat(usize),
+    /// In flight in another caller's batch, at that position.
+    Wait(Arc<Flight>, usize),
+}
+
+/// Reusable working state for batched lookups against one cache: the flight
+/// of the batch being led and the classification lists.
+///
+/// A dispatcher keeps one loader per frontier and worker thread and feeds
+/// it batch after batch. A batch whose keys no concurrent caller waited on
+/// hands its flight back for the next one, and the lists keep their
+/// capacity, so past the first batch a lookup allocates nothing of its own.
+pub struct BatchLoader<'c> {
+    cache: &'c SharedAccessCache,
+    /// The flight of the batch being led; recycled once nobody else holds
+    /// it, created on the first miss.
+    flight: Option<Arc<Flight>>,
+    /// `(request, extraction)` of retained requests, resolved once the
+    /// batch's claims are settled, so a panicking `resolve` cannot strand
+    /// a claim.
+    hits: Vec<(usize, Arc<[Tuple]>)>,
+    /// `(request, shard)` per led position.
+    led: Vec<(usize, usize)>,
+    /// The led keys, gathered for the loader when there is more than one.
+    keys: Vec<Key>,
+    /// `(request, shard, flight, position)` of requests another caller
+    /// leads.
+    waits: Vec<(usize, usize, Arc<Flight>, usize)>,
+    /// `(request, shard, position)` of repeats of keys this batch leads.
+    repeats: Vec<(usize, usize, usize)>,
+    /// Requests to classify again because their leader's access failed.
+    retry: Vec<usize>,
+}
+
+impl BatchLoader<'_> {
+    /// Resolves every request of `requests`, handing each outcome to
+    /// `resolve` together with the request's index.
+    ///
+    /// Each request is classified with one probe of its shard's map:
+    /// retained requests are served as hits; requests currently led by a
+    /// concurrent caller are waited on and coalesced; every remaining
+    /// request is *claimed at once* — its `Pending` slot inserted under the
+    /// shard lock — and the full set of claimed keys is handed to `load` in
+    /// a single call, so a provider with a batched endpoint pays one round
+    /// trip for the whole miss set. The loader must return one
+    /// [`LoadResult`] per key it was given, in order (missing entries are
+    /// treated as `Skipped`): `Loaded` extractions are retained and their
+    /// single-flight waiters woken; `Failed` and `Skipped` entries retain
+    /// nothing, and waiters retry from scratch — exactly the failure
+    /// semantics of a single-key load. The outcomes of the claimed keys are
+    /// resolved right after the loader call that produced them.
+    ///
+    /// Duplicate keys within `requests` are loaded once: later occurrences
+    /// are served as plain hits of the first occurrence's extraction, or
+    /// mirror its failure as `Skipped`.
+    ///
+    /// `load` is `FnMut` because a wait on a concurrent leader's flight can
+    /// fail (that leader's access errored), in which case this caller
+    /// re-classifies the key — possibly leading it — and invokes the loader
+    /// again with the smaller key set.
+    pub fn load<E>(
+        &mut self,
+        requests: &[impl Borrow<Key>],
+        mut load: impl FnMut(&[Key]) -> Vec<LoadResult<E>>,
+        mut resolve: impl FnMut(usize, BatchLookup<E>),
+    ) {
+        // Lists a caller-caught panic may have left behind.
+        self.hits.clear();
+        self.led.clear();
+        self.repeats.clear();
+        self.waits.clear();
+        let mut todo = std::mem::take(&mut self.retry);
+        todo.clear();
+        let mut first_round = true;
+        loop {
+            self.recycle_flight();
+            if first_round {
+                for (i, request) in requests.iter().enumerate() {
+                    self.classify(i, request.borrow());
+                }
+            } else {
+                for &i in &todo {
+                    self.classify(i, requests[i].borrow());
+                }
+            }
+            todo.clear();
+            self.lead(requests, &mut load, &mut resolve);
+            self.settle(requests, &mut resolve, &mut todo);
+            if todo.is_empty() {
+                break;
+            }
+            first_round = false;
+        }
+        self.retry = todo;
+    }
+
+    /// Readies the flight for a new batch: the previous one is reset in
+    /// place when no waiter still holds it, and replaced otherwise.
+    fn recycle_flight(&mut self) {
+        if let Some(flight) = &mut self.flight {
+            match Arc::get_mut(flight) {
+                Some(exclusive) => {
+                    let state = exclusive
+                        .state
+                        .get_mut()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    state.done = false;
+                    state.results.clear();
+                }
+                None => *flight = Flight::new(),
+            }
+        }
+    }
+
+    /// Classifies one request with a single probe of its shard's map.
+    fn classify(&mut self, i: usize, key: &Key) {
+        let cache = self.cache;
+        let idx = cache.shard_index(key);
+        let mut guard = cache.inner.shards[idx].lock();
+        let shard = &mut *guard;
+        let class = match shard.map.entry(key.clone()) {
+            Entry::Occupied(mut occupied) => match occupied.get_mut() {
+                Slot::Ready(ready) => {
+                    ready.last_used = shard.recency.touch(key);
+                    Class::Hit(Arc::clone(&ready.tuples))
+                }
+                Slot::Pending(flight, pos) => {
+                    if self
+                        .flight
+                        .as_ref()
+                        .is_some_and(|own| Arc::ptr_eq(own, flight))
+                    {
+                        Class::Repeat(*pos)
+                    } else {
+                        Class::Wait(Arc::clone(flight), *pos)
+                    }
+                }
+            },
+            Entry::Vacant(vacant) => {
+                let flight = self.flight.get_or_insert_with(Flight::new);
+                vacant.insert(Slot::Pending(Arc::clone(flight), self.led.len()));
+                Class::Led
+            }
+        };
+        match class {
+            Class::Hit(tuples) => {
+                shard.compact_recency();
+                drop(guard);
+                Counters::bump(&cache.inner.counters[idx].hits);
+                self.hits.push((i, tuples));
+            }
+            Class::Led => self.led.push((i, idx)),
+            Class::Repeat(pos) => self.repeats.push((i, idx, pos)),
+            Class::Wait(flight, pos) => self.waits.push((i, idx, flight, pos)),
+        }
+    }
+
+    /// Loads the claimed keys in one loader call, retains what loaded,
+    /// settles the flight and resolves each claimed request.
+    fn lead<K: Borrow<Key>, E>(
+        &mut self,
+        requests: &[K],
+        load: &mut impl FnMut(&[Key]) -> Vec<LoadResult<E>>,
+        resolve: &mut impl FnMut(usize, BatchLookup<E>),
+    ) {
+        if self.led.is_empty() {
+            return;
+        }
+        let cache = self.cache;
+        let flight = Arc::clone(self.flight.as_ref().expect("a led batch has a flight"));
+        let keys: &[Key] = if let [(i, _)] = self.led.as_slice() {
+            std::slice::from_ref(requests[*i].borrow())
+        } else {
+            self.keys.clear();
+            self.keys
+                .extend(self.led.iter().map(|&(i, _)| requests[i].borrow().clone()));
+            &self.keys
+        };
+
+        // Panic safety: if `load` or `resolve` (user code) unwinds, the
+        // guard clears the still-pending slots and settles the flight with
+        // them failed, so waiters retry instead of blocking forever on keys
+        // nobody will ever complete.
+        struct LeadGuard<'a, K: Borrow<Key>> {
+            cache: &'a SharedAccessCache,
+            requests: &'a [K],
+            led: &'a [(usize, usize)],
+            flight: &'a Flight,
+            settled: usize,
+        }
+        impl<K: Borrow<Key>> Drop for LeadGuard<'_, K> {
+            fn drop(&mut self) {
+                if self.settled < self.led.len() {
+                    for &(i, idx) in &self.led[self.settled..] {
+                        self.cache.abort_load(idx, self.requests[i].borrow());
+                    }
+                    self.flight.finish(lock(&self.flight.state));
+                }
+            }
+        }
+        let mut guard = LeadGuard {
+            cache,
+            requests,
+            led: &self.led,
+            flight: &flight,
+            settled: 0,
+        };
+
+        let results = load(keys);
+        debug_assert_eq!(results.len(), self.led.len(), "one LoadResult per led key");
+        let mut results = results.into_iter();
+        let mut state = lock(&flight.state);
+        for (pos, &(i, idx)) in self.led.iter().enumerate() {
+            let key = requests[i].borrow();
+            let counters = &cache.inner.counters[idx];
+            let lookup = match results.next().unwrap_or(LoadResult::Skipped) {
+                LoadResult::Loaded(tuples) => {
+                    let tuples = extraction(tuples);
+                    cache.complete_load(idx, key, &tuples);
+                    Counters::bump(&counters.misses);
+                    state.results.push(Some(Arc::clone(&tuples)));
+                    BatchLookup::Served(Lookup {
+                        tuples,
+                        outcome: LookupOutcome::Loaded,
+                    })
+                }
+                LoadResult::Failed(e) => {
+                    cache.abort_load(idx, key);
+                    Counters::bump(&counters.load_failures);
+                    state.results.push(None);
+                    BatchLookup::Failed(e)
+                }
+                LoadResult::Skipped => {
+                    cache.abort_load(idx, key);
+                    state.results.push(None);
+                    BatchLookup::Skipped
+                }
+            };
+            guard.settled = pos + 1;
+            resolve(i, lookup);
+        }
+        flight.finish(state);
+        drop(guard);
+        self.led.clear();
+    }
+
+    /// Resolves the retained requests, then the repeats of this batch's
+    /// keys from its flight, then waits on concurrent leaders; a failed
+    /// flight sends its request to `retry` (this caller may lead it next
+    /// round).
+    fn settle<E>(
+        &mut self,
+        requests: &[impl Borrow<Key>],
+        resolve: &mut impl FnMut(usize, BatchLookup<E>),
+        retry: &mut Vec<usize>,
+    ) {
+        let cache = self.cache;
+        for (i, tuples) in self.hits.drain(..) {
+            resolve(
+                i,
+                BatchLookup::Served(Lookup {
+                    tuples,
+                    outcome: LookupOutcome::Hit,
+                }),
+            );
+        }
+        for (i, idx, pos) in self.repeats.drain(..) {
+            let flight = self.flight.as_ref().expect("a repeat follows a led key");
+            let lookup = match lock(&flight.state).results.get(pos).cloned().flatten() {
+                // The sequential path would find them retained.
+                Some(tuples) => {
+                    Counters::bump(&cache.inner.counters[idx].hits);
+                    BatchLookup::Served(Lookup {
+                        tuples,
+                        outcome: LookupOutcome::Hit,
+                    })
+                }
+                None => BatchLookup::Skipped,
+            };
+            resolve(i, lookup);
+        }
+        for (i, idx, flight, pos) in self.waits.drain(..) {
+            match flight.wait(pos) {
+                Some(tuples) => {
+                    Counters::bump(&cache.inner.counters[idx].coalesced_hits);
+                    cache.inner.obs.trace(0, || EventKind::BatchCoalesced {
+                        key: requests[i].borrow().clone(),
+                    });
+                    resolve(
+                        i,
+                        BatchLookup::Served(Lookup {
+                            tuples,
+                            outcome: LookupOutcome::CoalescedHit,
+                        }),
+                    );
+                }
+                None => retry.push(i),
+            }
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1041,7 +1250,7 @@ mod tests {
         for _ in 0..10_000 {
             cache.get_or_load(r, &k(1), || Ok::<_, ()>(vec![])).unwrap();
         }
-        let recency_len = cache.inner.shards[0].lock().recency.len();
+        let recency_len = cache.inner.shards[0].lock().recency.queue.len();
         assert_eq!(recency_len, 0, "nothing can ever be evicted — no queue");
     }
 
@@ -1059,7 +1268,7 @@ mod tests {
         for _ in 0..10_000 {
             cache.get_or_load(r, &k(0), || Ok::<_, ()>(vec![])).unwrap();
         }
-        let recency_len = cache.inner.shards[0].lock().recency.len();
+        let recency_len = cache.inner.shards[0].lock().recency.queue.len();
         assert!(
             recency_len <= 64,
             "stale pairs must be compacted, found {recency_len}"
@@ -1247,6 +1456,270 @@ mod tests {
                 .collect()
         });
         assert!(results.iter().all(|b| b.served().is_some()));
+    }
+
+    #[test]
+    fn cache_instances_hash_keys_with_their_own_seeds() {
+        let a = SharedAccessCache::unbounded();
+        let b = SharedAccessCache::unbounded();
+        let hash = |cache: &SharedAccessCache, shard: usize, key: &Key| {
+            cache.inner.shards[shard].lock().map.hasher().hash_one(key)
+        };
+        let keys: Vec<Key> = (0..64).map(|i| (RelationId(0), k(i))).collect();
+        let differing = keys
+            .iter()
+            .filter(|key| hash(&a, 0, key) != hash(&b, 0, key))
+            .count();
+        assert_eq!(
+            differing,
+            keys.len(),
+            "every key hashes differently per cache"
+        );
+        // Within one instance every shard hashes alike, and deterministically.
+        assert_eq!(hash(&a, 0, &keys[0]), hash(&a, 7, &keys[0]));
+        assert_eq!(hash(&a, 0, &keys[0]), hash(&a, 0, &keys[0]));
+    }
+
+    #[test]
+    fn shard_choice_leaves_the_bucket_bits_spread() {
+        // Integer keys that differ only in high bits — the shape a client
+        // can pick to pile keys into one bucket of a weak hash — spread
+        // over the shards, and the keys of one shard over its buckets.
+        let cache = SharedAccessCache::new(CacheConfig::unbounded().with_shards(8));
+        let keys: Vec<Key> = (0..4096).map(|i| (RelationId(0), k(i << 32))).collect();
+        let mut shards = [0usize; 8];
+        let mut low_bits = std::collections::HashSet::new();
+        for key in &keys {
+            let shard = cache.shard_index(key);
+            shards[shard] += 1;
+            if shard == 0 {
+                let hash = cache.inner.shards[0].lock().map.hasher().hash_one(key);
+                low_bits.insert(hash & 0xff);
+            }
+        }
+        assert!(shards.iter().all(|&n| n > 256), "shards {shards:?}");
+        assert!(
+            low_bits.len() > 200,
+            "only {} bucket indexes",
+            low_bits.len()
+        );
+    }
+
+    #[test]
+    fn a_loader_recycles_its_flight_between_unwatched_batches() {
+        let cache = SharedAccessCache::unbounded();
+        let r = RelationId(0);
+        let mut loader = cache.batch_loader();
+        let flight_of = |loader: &BatchLoader<'_>| Arc::as_ptr(loader.flight.as_ref().unwrap());
+        let load = |keys: &[Key]| -> Vec<LoadResult<()>> {
+            keys.iter()
+                .map(|(_, b)| LoadResult::Loaded(vec![b.clone()]))
+                .collect()
+        };
+        loader.load(&[(r, k(1)), (r, k(2))], load, |_, _| {});
+        let first = flight_of(&loader);
+        loader.load(&[(r, k(3))], load, |_, _| {});
+        assert_eq!(
+            flight_of(&loader),
+            first,
+            "nobody waited: the flight is reused"
+        );
+        // A waiter still holding the flight forces a fresh one.
+        let held = Arc::clone(loader.flight.as_ref().unwrap());
+        loader.load(&[(r, k(4))], load, |_, _| {});
+        assert_ne!(flight_of(&loader), Arc::as_ptr(&held));
+        assert_eq!(cache.stats().misses, 4);
+    }
+
+    /// The leader's outcomes (or its panic), the key sets the waiter's
+    /// loader was handed, and the waiter's outcomes.
+    type Race = (
+        std::thread::Result<Vec<BatchLookup<&'static str>>>,
+        Vec<Vec<Key>>,
+        Vec<BatchLookup<&'static str>>,
+    );
+
+    /// Runs `leader` (leading `led` through a gated loader) and `waiter`
+    /// (requesting `wanted` once every `led` key is claimed) concurrently.
+    /// The leader's loader is held until the waiter's own loader runs —
+    /// i.e. until the waiter has classified every request — so the waiter
+    /// deterministically finds the shared keys in flight. The waiter also
+    /// requests a private marker key, so its loader always runs; the
+    /// marker is skipped (nothing retained or counted) and left out of the
+    /// returned loads and outcomes.
+    fn leader_and_waiter(
+        cache: &SharedAccessCache,
+        led: &[Key],
+        leader_results: impl Fn(&[Key]) -> Vec<LoadResult<&'static str>> + Send + Sync,
+        wanted: &[Key],
+    ) -> Race {
+        let (claimed_tx, claimed_rx) = std::sync::mpsc::channel::<()>();
+        let (waiting_tx, waiting_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.get_or_load_batch(led, |keys| {
+                        claimed_tx.send(()).unwrap();
+                        waiting_rx.recv().unwrap();
+                        leader_results(keys)
+                    })
+                }))
+            });
+            let waiter = scope.spawn(move || {
+                claimed_rx.recv().unwrap();
+                let marker: Key = (RelationId(1), Tuple::empty());
+                let mut requests = wanted.to_vec();
+                requests.push(marker.clone());
+                let mut loaded = Vec::new();
+                let mut waiting_tx = Some(waiting_tx);
+                let mut results = cache.get_or_load_batch(&requests, |keys| {
+                    let own: Vec<Key> = keys.iter().filter(|k| **k != marker).cloned().collect();
+                    if !own.is_empty() {
+                        loaded.push(own);
+                    }
+                    if let Some(tx) = waiting_tx.take() {
+                        tx.send(()).unwrap();
+                    }
+                    keys.iter()
+                        .map(|key| match key {
+                            key if *key == marker => LoadResult::Skipped,
+                            (_, b) => LoadResult::Loaded(vec![tuple![b[0], "waiter"]]),
+                        })
+                        .collect()
+                });
+                results.truncate(wanted.len());
+                (loaded, results)
+            });
+            let leader = leader.join().unwrap();
+            let (loaded, results) = waiter.join().unwrap();
+            (leader, loaded, results)
+        })
+    }
+
+    fn loaded_by_leader(keys: &[Key]) -> Vec<LoadResult<&'static str>> {
+        keys.iter()
+            .map(|(_, b)| LoadResult::Loaded(vec![tuple![b[0], "leader"]]))
+            .collect()
+    }
+
+    fn served(lookup: &BatchLookup<&'static str>) -> (LookupOutcome, Tuple) {
+        let lookup = lookup.served().expect("served");
+        (lookup.outcome, lookup.tuples[0].clone())
+    }
+
+    #[test]
+    fn a_waiter_on_a_foreign_batch_gets_its_own_position() {
+        let cache = SharedAccessCache::unbounded();
+        let r = RelationId(0);
+        // The leader's batch repeats k(2): the repeat is a hit of the
+        // leader's own load, and the waiter reads k(2)'s position.
+        let led = [(r, k(1)), (r, k(2)), (r, k(2)), (r, k(3))];
+        let wanted = [(r, k(2)), (r, k(4))];
+        let (leader, waiter_loads, waiter) =
+            leader_and_waiter(&cache, &led, loaded_by_leader, &wanted);
+        let leader = leader.expect("the leader completes");
+        let outcomes: Vec<LookupOutcome> = leader.iter().map(|l| served(l).0).collect();
+        use LookupOutcome::{CoalescedHit, Hit, Loaded};
+        assert_eq!(outcomes, vec![Loaded, Loaded, Hit, Loaded]);
+        assert_eq!(
+            waiter_loads,
+            vec![vec![(r, k(4))]],
+            "the waiter loads only k(4)"
+        );
+        assert_eq!(served(&waiter[0]), (CoalescedHit, tuple![2, "leader"]));
+        assert_eq!(served(&waiter[1]), (Loaded, tuple![4, "waiter"]));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.coalesced_hits), (4, 1, 1));
+    }
+
+    #[test]
+    fn a_waiter_sees_an_oversized_extraction_that_was_never_retained() {
+        let cache = SharedAccessCache::new(CacheConfig::max_bytes(1000).with_shards(1));
+        let r = RelationId(0);
+        let big = |keys: &[Key]| -> Vec<LoadResult<&'static str>> {
+            keys.iter()
+                .map(|(_, b)| {
+                    LoadResult::Loaded((0..50).map(|i| tuple![b[0], i, "padding"]).collect())
+                })
+                .collect()
+        };
+        let (leader, _, waiter) = leader_and_waiter(&cache, &[(r, k(1))], big, &[(r, k(1))]);
+        assert!(leader.is_ok());
+        let lookup = waiter[0].served().expect("served");
+        assert_eq!(lookup.outcome, LookupOutcome::CoalescedHit);
+        assert_eq!(lookup.tuples.len(), 50, "the waiter shares the extraction");
+        assert!(!cache.contains(r, &k(1)), "oversized: not retained");
+        assert_eq!(cache.stats().oversized, 1);
+    }
+
+    #[test]
+    fn a_waiter_sees_an_extraction_evicted_by_its_own_batch() {
+        // One entry of room: completing k(2) evicts k(1), which the waiter
+        // still receives from the flight.
+        let cache = SharedAccessCache::new(CacheConfig::max_entries(1).with_shards(1));
+        let r = RelationId(0);
+        let led = [(r, k(1)), (r, k(2))];
+        let (leader, _, waiter) = leader_and_waiter(&cache, &led, loaded_by_leader, &[(r, k(1))]);
+        assert!(leader.is_ok());
+        assert_eq!(
+            served(&waiter[0]),
+            (LookupOutcome::CoalescedHit, tuple![1, "leader"])
+        );
+        assert!(!cache.contains(r, &k(1)), "evicted by k(2)");
+        assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn waiters_of_a_panicking_batch_loader_retry_and_lead() {
+        let cache = SharedAccessCache::unbounded();
+        let r = RelationId(0);
+        let led = [(r, k(1)), (r, k(2))];
+        let (leader, waiter_loads, waiter) = leader_and_waiter(
+            &cache,
+            &led,
+            |_| panic!("buggy batch provider"),
+            &[(r, k(2)), (r, k(3))],
+        );
+        assert!(leader.is_err(), "the leader's panic propagates to it");
+        // The waiter loaded k(3), then found k(2)'s flight failed and led
+        // it itself.
+        assert_eq!(waiter_loads, vec![vec![(r, k(3))], vec![(r, k(2))]]);
+        assert_eq!(
+            served(&waiter[0]),
+            (LookupOutcome::Loaded, tuple![2, "waiter"])
+        );
+        assert!(!cache.contains(r, &k(1)), "the panicked batch left no slot");
+        assert_eq!(cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn waiters_of_a_failed_batch_position_retry_while_its_siblings_serve() {
+        let cache = SharedAccessCache::unbounded();
+        let r = RelationId(0);
+        let led = [(r, k(1)), (r, k(2))];
+        let (leader, waiter_loads, waiter) = leader_and_waiter(
+            &cache,
+            &led,
+            |_| {
+                vec![
+                    LoadResult::Loaded(vec![tuple![1, "leader"]]),
+                    LoadResult::Failed("boom"),
+                ]
+            },
+            &[(r, k(1)), (r, k(2))],
+        );
+        let leader = leader.expect("no panic");
+        assert!(matches!(leader[1], BatchLookup::Failed("boom")));
+        assert_eq!(waiter_loads, vec![vec![(r, k(2))]], "only the failed key");
+        assert_eq!(
+            served(&waiter[0]),
+            (LookupOutcome::CoalescedHit, tuple![1, "leader"])
+        );
+        assert_eq!(
+            served(&waiter[1]),
+            (LookupOutcome::Loaded, tuple![2, "waiter"])
+        );
+        assert_eq!(cache.stats().load_failures, 1);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! report. The log therefore stores accesses as a *set* keyed by
 //! `(relation, binding)`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
-use toorjah_catalog::{RelationId, Schema, Tuple};
+use toorjah_catalog::{FastHasher, FastMap, FastSet, RelationId, Schema, Tuple};
 
 /// Default hard cap on distinct accesses per execution, shared by every
 /// evaluator ([`crate::ExecOptions`], [`crate::NaiveOptions`], and the
@@ -19,13 +20,31 @@ use toorjah_catalog::{RelationId, Schema, Tuple};
 pub const DEFAULT_ACCESS_BUDGET: usize = 10_000_000;
 
 /// A deduplicating log of performed accesses with per-relation counters.
+///
+/// Each access is stored once, in `sequence`; the set semantics come from
+/// `index`, an open-addressed table of positions into `sequence`, so a
+/// membership test or a record is one hash and one probe run, and nothing
+/// is cloned to ask.
 #[derive(Clone, Default, Debug)]
 pub struct AccessLog {
-    performed: HashSet<(RelationId, Tuple)>,
     sequence: Vec<(RelationId, Tuple)>,
-    accesses_per_relation: HashMap<RelationId, usize>,
-    extracted_per_relation: HashMap<RelationId, HashSet<Tuple>>,
+    /// Positions into `sequence` ([`VACANT`] marks a free slot), linearly
+    /// probed from the top bits of the access's hash; empty or a power of
+    /// two at most half full.
+    index: Vec<u32>,
+    accesses_per_relation: FastMap<RelationId, usize>,
+    extracted_per_relation: FastMap<RelationId, FastSet<Tuple>>,
     cache_served: usize,
+}
+
+/// A free [`AccessLog::index`] slot.
+const VACANT: u32 = u32::MAX;
+
+fn access_hash(relation: RelationId, binding: &Tuple) -> u64 {
+    let mut hasher = FastHasher::default();
+    relation.hash(&mut hasher);
+    binding.hash(&mut hasher);
+    hasher.finish()
 }
 
 impl AccessLog {
@@ -34,12 +53,54 @@ impl AccessLog {
         Self::default()
     }
 
+    /// The index slot holding `(relation, binding)`, or the vacant slot
+    /// where it belongs (`Err`). The index must be non-empty.
+    fn probe(&self, hash: u64, relation: RelationId, binding: &Tuple) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        // The multiplicative hash mixes upward: its top bits are its best.
+        let mut slot = (hash >> (64 - self.index.len().trailing_zeros())) as usize;
+        loop {
+            match self.index[slot] {
+                VACANT => return Err(slot),
+                pos => {
+                    let (r, b) = &self.sequence[pos as usize];
+                    if *r == relation && b == binding {
+                        return Ok(slot);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Doubles the index (at least 16 slots) and re-files every access.
+    fn grow_index(&mut self) {
+        let slots = (self.index.len() * 2).max(16);
+        self.index = vec![VACANT; slots];
+        for pos in 0..self.sequence.len() {
+            let (relation, binding) = &self.sequence[pos];
+            let Err(slot) = self.probe(access_hash(*relation, binding), *relation, binding) else {
+                unreachable!("logged accesses are distinct");
+            };
+            self.index[slot] = pos as u32;
+        }
+    }
+
     /// Records an access; returns `true` if it was new (i.e. it actually
     /// costs something under the set semantics).
     pub fn record(&mut self, relation: RelationId, binding: Tuple) -> bool {
-        if !self.performed.insert((relation, binding.clone())) {
-            return false;
+        if 2 * (self.sequence.len() + 1) > self.index.len() {
+            self.grow_index();
         }
+        let slot = match self.probe(access_hash(relation, &binding), relation, &binding) {
+            Ok(_) => return false,
+            Err(slot) => slot,
+        };
+        let pos = u32::try_from(self.sequence.len())
+            .ok()
+            .filter(|&pos| pos != VACANT)
+            .expect("fewer than 2^32 - 1 accesses per log");
+        self.index[slot] = pos;
         self.sequence.push((relation, binding));
         *self.accesses_per_relation.entry(relation).or_insert(0) += 1;
         true
@@ -96,19 +157,26 @@ impl AccessLog {
 
     /// Whether an access was already performed.
     pub fn contains(&self, relation: RelationId, binding: &Tuple) -> bool {
-        self.performed.contains(&(relation, binding.clone()))
+        !self.index.is_empty()
+            && self
+                .probe(access_hash(relation, binding), relation, binding)
+                .is_ok()
     }
 
     /// Total number of distinct accesses.
     pub fn total(&self) -> usize {
-        self.performed.len()
+        self.sequence.len()
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> AccessStats {
         AccessStats {
-            total_accesses: self.performed.len(),
-            accesses: self.accesses_per_relation.clone(),
+            total_accesses: self.sequence.len(),
+            accesses: self
+                .accesses_per_relation
+                .iter()
+                .map(|(&r, &n)| (r, n))
+                .collect(),
             extracted: self
                 .extracted_per_relation
                 .iter()
@@ -173,6 +241,30 @@ mod tests {
         assert_eq!(log.total(), 2);
         assert!(log.contains(r, &tuple!["a"]));
         assert!(!log.contains(RelationId(1), &tuple!["a"]));
+    }
+
+    #[test]
+    fn set_semantics_survive_index_growth() {
+        // Enough accesses to double the position table many times; every
+        // access stays findable and is recorded once, in order.
+        let mut log = AccessLog::new();
+        let key = |i: i64| (RelationId((i % 3) as u32), tuple![i, i / 7]);
+        for i in 0..10_000 {
+            let (r, b) = key(i);
+            assert!(log.record(r, b));
+        }
+        for i in 0..10_000 {
+            let (r, b) = key(i);
+            assert!(log.contains(r, &b), "access {i} is found");
+            assert!(!log.record(r, b), "access {i} is not re-recorded");
+        }
+        assert!(!log.contains(RelationId(1), &tuple![0, 0]));
+        assert_eq!(log.total(), 10_000);
+        assert!(log
+            .sequence()
+            .iter()
+            .zip(0..)
+            .all(|(seen, i)| *seen == key(i)));
     }
 
     #[test]

@@ -25,16 +25,16 @@
 //! (and, for latency-accounted sources, the number of round trips) changes.
 //! `tests/parallel.rs` asserts this invariance.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use toorjah_cache::{BatchLookup, LoadResult, SharedAccessCache};
-use toorjah_catalog::{AccessKey, RelationId, Tuple};
-use toorjah_obs::{EventKind, Histogram, Obs};
+use toorjah_cache::{BatchLoader, BatchLookup, LoadResult, SharedAccessCache};
+use toorjah_catalog::{AccessKey, FastMap, RelationId, Tuple};
+use toorjah_obs::{EventKind, Gauge, Histogram, Obs};
 
-use crate::{AccessLog, EngineError, SourceProvider};
+use crate::{AccessLog, AccessResult, EngineError, SourceProvider};
 
 /// How a frontier of accesses is fanned out; threaded through
 /// [`crate::ExecOptions`] and [`crate::NaiveOptions`] into every evaluator.
@@ -183,64 +183,67 @@ impl DispatchReport {
     }
 }
 
-/// Performs every access of `frontier` through the shared cache and returns
-/// the extractions aligned with the frontier. This is the dispatch stage of
-/// the evaluation kernel — evaluators reach it through
-/// `crate::kernel::Kernel::round`, which owns the per-round frontier
-/// accounting and the relevance filter.
+/// Performs every kept access of `frontier` through the shared cache and
+/// returns the extractions aligned with the frontier — entries `kept`
+/// marks `false` (pruned by the kernel's relevance filter) extract nothing
+/// and never reach the cache. This is the dispatch stage of the evaluation
+/// kernel — evaluators reach it through `crate::kernel::Kernel::round`,
+/// which owns the per-round frontier accounting and the relevance filter.
 ///
-/// Duplicate keys are loaded once; later occurrences share the extraction
-/// and are logged as cache-served, exactly as under one-at-a-time dispatch.
-/// The budget is enforced with a shared reservation counter seeded from
-/// `log.total()`, so no more than `max_accesses` distinct accesses are ever
-/// performed regardless of thread interleaving; accesses the log already
-/// contains (re-performed after an eviction) stay exempt, mirroring the
-/// sequential path. On failure, every access that *did* reach the source is
-/// still folded into the log before the error is returned — the log reports
-/// reality.
+/// Keys are borrowed from the frontier throughout; the log stores the one
+/// copy of each performed access. Duplicate keys are loaded once; later
+/// occurrences share the extraction and are logged as cache-served, exactly
+/// as under one-at-a-time dispatch. The budget is enforced with a shared
+/// reservation counter seeded from `log.total()`, so no more than
+/// `max_accesses` distinct accesses are ever performed regardless of thread
+/// interleaving; accesses the log already contains (re-performed after an
+/// eviction) stay exempt, mirroring the sequential path. On failure, every
+/// access that *did* reach the source is still folded into the log before
+/// the error is returned — the log reports reality.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch_keys(
     cache: &SharedAccessCache,
     provider: &dyn SourceProvider,
     log: &mut AccessLog,
     frontier: &[AccessKey],
+    kept: Option<&[bool]>,
     options: DispatchOptions,
     max_accesses: usize,
     report: &mut DispatchReport,
     obs: Obs,
     round: u32,
 ) -> Result<Vec<Arc<[Tuple]>>, EngineError> {
-    if frontier.is_empty() {
-        return Ok(Vec::new());
-    }
     let (parallelism, batch_size) = options.effective();
 
-    // Deduplicate while preserving first-occurrence order.
-    let mut slot_of: HashMap<&AccessKey, usize> = HashMap::with_capacity(frontier.len());
+    // Deduplicate the kept entries, first occurrence first: `slots[f]` is
+    // frontier entry `f`'s index into `unique`, or `PRUNED`.
     let mut unique: Vec<&AccessKey> = Vec::with_capacity(frontier.len());
-    let mut slots: Vec<usize> = Vec::with_capacity(frontier.len());
-    for key in frontier {
-        let slot = *slot_of.entry(key).or_insert_with(|| {
-            unique.push(key);
-            unique.len() - 1
-        });
-        slots.push(slot);
+    let mut slots: Vec<u32> = Vec::with_capacity(frontier.len());
+    {
+        let mut slot_of: FastMap<&AccessKey, u32> =
+            FastMap::with_capacity_and_hasher(frontier.len(), Default::default());
+        for (f, key) in frontier.iter().enumerate() {
+            if kept.is_some_and(|kept| !kept[f]) {
+                slots.push(PRUNED);
+                continue;
+            }
+            slots.push(*slot_of.entry(key).or_insert_with(|| {
+                unique.push(key);
+                u32::try_from(unique.len() - 1)
+                    .ok()
+                    .filter(|&slot| slot != PRUNED)
+                    .expect("frontiers hold fewer than 2^32 - 1 accesses")
+            }));
+        }
     }
-    let keys: Vec<AccessKey> = unique.iter().map(|k| (*k).clone()).collect();
+    if unique.is_empty() {
+        let empty: Arc<[Tuple]> = Vec::new().into();
+        return Ok(slots.iter().map(|_| Arc::clone(&empty)).collect());
+    }
 
-    // Budget exemptions: keys this query already paid for (re-performed
-    // after an eviction) do not consume budget, as in the sequential path.
-    let exempt: HashSet<&AccessKey> = unique
-        .iter()
-        .copied()
-        .filter(|(rel, binding)| log.contains(*rel, binding))
-        .collect();
-
-    let chunks: Vec<&[AccessKey]> = keys.chunks(batch_size).collect();
-    report.batches += chunks.len();
-
+    report.batches += unique.len().div_ceil(batch_size);
     if let Some(h) = obs.histogram("dispatch.batch_size") {
-        for chunk in &chunks {
+        for chunk in unique.chunks(batch_size) {
             h.record(chunk.len() as u64);
         }
     }
@@ -252,70 +255,29 @@ pub(crate) fn dispatch_keys(
             });
         }
     }
-    // Per-unique-key attributed source latency (a batch's wall-clock split
-    // evenly over the keys it actually loaded), written by whichever worker
-    // ran the batch and read back on the coordinating thread.
-    let queue_wait = obs.gauge("dispatch.queue_wait_us");
-    let dispatch_start = obs.is_enabled().then(Instant::now);
-    let latency_us: Option<Vec<AtomicU64>> = obs
-        .is_enabled()
-        .then(|| unique.iter().map(|_| AtomicU64::new(0)).collect());
 
-    // Distinct accesses performed so far (shared budget reservation).
-    let performed = AtomicUsize::new(log.total());
-    let process = |chunk: &[AccessKey]| -> Vec<BatchLookup<EngineError>> {
-        cache.get_or_load_batch(chunk, |led| {
-            if let (Some(g), Some(t0)) = (&queue_wait, &dispatch_start) {
-                g.record_max(micros_since(t0));
-            }
-            // Reserve budget for every non-exempt key, in order; the first
-            // key that cannot be reserved fails the batch there, and the
-            // remainder is never attempted.
-            let mut attempt = led.len();
-            let mut busted = false;
-            for (j, key) in led.iter().enumerate() {
-                if exempt.contains(key) {
-                    continue;
-                }
-                if !reserve(&performed, max_accesses) {
-                    attempt = j;
-                    busted = true;
-                    break;
-                }
-            }
-            let load_start = latency_us.as_ref().map(|_| Instant::now());
-            let mut out = provider.access_batch(&led[..attempt]);
-            if let (Some(lat), Some(start)) = (&latency_us, &load_start) {
-                let share = micros_since(start) / led[..attempt].len().max(1) as u64;
-                for key in &led[..attempt] {
-                    if let Some(&slot) = slot_of.get(key) {
-                        lat[slot].store(share, Ordering::Relaxed);
-                    }
-                }
-            }
-            out.truncate(attempt);
-            if busted {
-                out.push(LoadResult::Failed(EngineError::AccessBudgetExceeded {
-                    limit: max_accesses,
-                }));
-            }
-            while out.len() < led.len() {
-                out.push(LoadResult::Skipped);
-            }
-            out
-        })
+    let trips = RoundTrips {
+        provider,
+        log,
+        performed: AtomicUsize::new(log.total()),
+        budget_binds: log.total().saturating_add(unique.len()) > max_accesses,
+        max_accesses,
+        queue_wait: obs.gauge("dispatch.queue_wait_us"),
+        dispatch_start: obs.is_enabled().then(Instant::now),
     };
-
-    // Outcomes per unique key, scattered back from whichever thread ran the
-    // key's batch.
-    let mut outcomes: Vec<Option<BatchLookup<EngineError>>> = keys.iter().map(|_| None).collect();
+    let mut outcomes = Outcomes {
+        served: unique.iter().map(|_| None).collect(),
+        failure: None,
+    };
+    let chunks: Vec<&[&AccessKey]> = unique.chunks(batch_size).collect();
     let workers = parallelism.min(chunks.len());
     if workers <= 1 {
+        let mut loader = cache.batch_loader();
         for (b, chunk) in chunks.iter().enumerate() {
-            let results = process(chunk);
-            let stop = results.iter().any(|r| r.served().is_none());
-            scatter(&mut outcomes, b, batch_size, results);
-            if stop {
+            let complete = trips.run(&mut loader, chunk, |offset, lookup, micros| {
+                outcomes.settle(b * batch_size + offset, lookup, micros);
+            });
+            if !complete {
                 break;
             }
         }
@@ -326,7 +288,8 @@ pub(crate) fn dispatch_keys(
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut done: Vec<(usize, Vec<BatchLookup<EngineError>>)> = Vec::new();
+                        let mut loader = cache.batch_loader();
+                        let mut done: Vec<(usize, BatchLookup<EngineError>, u64)> = Vec::new();
                         loop {
                             if abort.load(Ordering::Relaxed) {
                                 break;
@@ -335,11 +298,13 @@ pub(crate) fn dispatch_keys(
                             let Some(chunk) = chunks.get(b) else {
                                 break;
                             };
-                            let results = process(chunk);
-                            if results.iter().any(|r| r.served().is_none()) {
+                            let complete =
+                                trips.run(&mut loader, chunk, |offset, lookup, micros| {
+                                    done.push((b * batch_size + offset, lookup, micros));
+                                });
+                            if !complete {
                                 abort.store(true, Ordering::Relaxed);
                             }
-                            done.push((b, results));
                         }
                         done
                     })
@@ -351,65 +316,54 @@ pub(crate) fn dispatch_keys(
                 .collect::<Vec<_>>()
         })
         .expect("dispatch scope");
-        for (b, results) in completed {
-            scatter(&mut outcomes, b, batch_size, results);
+        for (u, lookup, micros) in completed {
+            outcomes.settle(u, lookup, micros);
         }
     }
+    let Outcomes { served, failure } = outcomes;
 
     // Fold reality into the log first — every access that reached the
     // source is recorded (in deterministic first-occurrence order), even
     // when a sibling batch failed.
-    for (key, outcome) in unique.iter().zip(&outcomes) {
-        if let Some(BatchLookup::Served(lookup)) = outcome {
-            if lookup.outcome.loaded() {
-                log.record(key.0, key.1.clone());
-                log.record_extracted(key.0, lookup.tuples.iter());
-            }
+    for (key, served) in unique.iter().zip(&served) {
+        if let Some(served) = served.as_ref().filter(|s| s.loaded) {
+            log.record(key.0, key.1.clone());
+            log.record_extracted(key.0, served.tuples.iter());
         }
     }
-    // Propagate the first failure (in frontier order). Skipped entries
+    // Propagate the first failure (in frontier order). Unserved entries
     // without a recorded failure cannot happen with a contract-abiding
     // provider; surface them instead of panicking.
-    let mut failure: Option<EngineError> = None;
-    for outcome in &outcomes {
-        if let Some(BatchLookup::Failed(e)) = outcome {
-            failure = Some(e.clone());
-            break;
-        }
-    }
-    if failure.is_none()
-        && outcomes
-            .iter()
-            .any(|o| !matches!(o, Some(BatchLookup::Served(_))))
-    {
-        failure = Some(EngineError::SourceFailure {
+    let failure = match failure {
+        Some((_, e)) => Some(e),
+        None if served.iter().any(Option::is_none) => Some(EngineError::SourceFailure {
             relation: "<batch>".to_string(),
             detail: "provider skipped accesses without reporting a failure".to_string(),
-        });
-    }
+        }),
+        None => None,
+    };
     if let Some(err) = failure {
         // The trace reports reality before the error surfaces: every
         // request still gets its terminal event — served outcomes as such,
         // everything else as failed.
         if obs.is_tracing() {
-            let mut first_seen = vec![false; unique.len()];
-            for &slot in &slots {
-                let key = unique[slot];
-                match &outcomes[slot] {
-                    Some(BatchLookup::Served(lookup)) => {
-                        if !first_seen[slot] && lookup.outcome.loaded() {
-                            first_seen[slot] = true;
-                            obs.trace(round, || EventKind::AccessServedSource {
-                                key: key.clone(),
-                                micros: slot_latency(&latency_us, slot),
-                                tuples: lookup.tuples.len(),
-                            });
-                        } else {
-                            first_seen[slot] = true;
-                            obs.trace(round, || EventKind::AccessServedCache { key: key.clone() });
-                        }
+            let mut first_unseen = 0u32;
+            for &slot in slots.iter().filter(|&&slot| slot != PRUNED) {
+                let first = slot == first_unseen;
+                first_unseen += u32::from(first);
+                let key = unique[slot as usize];
+                match &served[slot as usize] {
+                    Some(s) if first && s.loaded => {
+                        obs.trace(round, || EventKind::AccessServedSource {
+                            key: key.clone(),
+                            micros: s.micros,
+                            tuples: s.tuples.len(),
+                        });
                     }
-                    _ => obs.trace(round, || EventKind::AccessFailed { key: key.clone() }),
+                    Some(_) => {
+                        obs.trace(round, || EventKind::AccessServedCache { key: key.clone() })
+                    }
+                    None => obs.trace(round, || EventKind::AccessFailed { key: key.clone() }),
                 }
             }
         }
@@ -418,21 +372,24 @@ pub(crate) fn dispatch_keys(
 
     // Per-source latency histograms, one instrument per provider relation
     // that actually performed accesses this frontier.
-    if let Some(lat) = &latency_us {
-        let mut per_rel: HashMap<RelationId, Arc<Histogram>> = HashMap::new();
-        for (u, key) in unique.iter().enumerate() {
-            let Some(BatchLookup::Served(lookup)) = &outcomes[u] else {
+    if obs.is_enabled() {
+        let mut per_rel: Vec<(RelationId, Arc<Histogram>)> = Vec::new();
+        for (key, served) in unique.iter().zip(&served) {
+            let Some(served) = served.as_ref().filter(|s| s.loaded) else {
                 continue;
             };
-            if !lookup.outcome.loaded() {
-                continue;
-            }
-            let histogram = per_rel.entry(key.0).or_insert_with(|| {
-                let name = provider.schema().relation(key.0).name();
-                obs.histogram(&format!("dispatch.latency_us.{name}"))
-                    .expect("latency vector implies metrics are on")
-            });
-            histogram.record(lat[u].load(Ordering::Relaxed));
+            let at = match per_rel.iter().position(|(rel, _)| *rel == key.0) {
+                Some(at) => at,
+                None => {
+                    let name = provider.schema().relation(key.0).name();
+                    let histogram = obs
+                        .histogram(&format!("dispatch.latency_us.{name}"))
+                        .expect("enabled metrics resolve histograms");
+                    per_rel.push((key.0, histogram));
+                    per_rel.len() - 1
+                }
+            };
+            per_rel[at].1.record(served.micros);
         }
     }
     let performed_ctr = obs.counter("dispatch.performed");
@@ -440,72 +397,174 @@ pub(crate) fn dispatch_keys(
 
     // Success: account cache service per *request* (duplicates and warm
     // hits are free under the set semantics) and hand back the extractions
-    // aligned with the frontier.
-    let mut first_seen = vec![false; unique.len()];
+    // aligned with the frontier. A unique key's first occurrence is the
+    // next one not yet seen, since `unique` is in first-occurrence order.
+    let mut pruned_extraction: Option<Arc<[Tuple]>> = None;
+    let mut first_unseen = 0u32;
     let mut extractions = Vec::with_capacity(frontier.len());
     for &slot in &slots {
-        let Some(BatchLookup::Served(lookup)) = &outcomes[slot] else {
-            unreachable!("checked above");
-        };
-        if !first_seen[slot] {
-            first_seen[slot] = true;
-            if !lookup.outcome.loaded() {
-                log.record_cache_served();
-                if let Some(c) = &served_cache_ctr {
-                    c.inc();
-                }
-                obs.trace(round, || EventKind::AccessServedCache {
-                    key: unique[slot].clone(),
-                });
-            } else {
-                if let Some(c) = &performed_ctr {
-                    c.inc();
-                }
-                obs.trace(round, || EventKind::AccessServedSource {
-                    key: unique[slot].clone(),
-                    micros: slot_latency(&latency_us, slot),
-                    tuples: lookup.tuples.len(),
-                });
+        if slot == PRUNED {
+            // Pruned entries extract nothing, by construction of the
+            // relevance filter.
+            extractions.push(Arc::clone(
+                pruned_extraction.get_or_insert_with(|| Vec::new().into()),
+            ));
+            continue;
+        }
+        let first = slot == first_unseen;
+        first_unseen += u32::from(first);
+        let key = unique[slot as usize];
+        let served = served[slot as usize].as_ref().expect("checked above");
+        if first && served.loaded {
+            if let Some(c) = &performed_ctr {
+                c.inc();
             }
+            obs.trace(round, || EventKind::AccessServedSource {
+                key: key.clone(),
+                micros: served.micros,
+                tuples: served.tuples.len(),
+            });
         } else {
             log.record_cache_served();
             if let Some(c) = &served_cache_ctr {
                 c.inc();
             }
-            obs.trace(round, || EventKind::AccessServedCache {
-                key: unique[slot].clone(),
-            });
+            obs.trace(round, || EventKind::AccessServedCache { key: key.clone() });
         }
-        extractions.push(Arc::clone(&lookup.tuples));
+        extractions.push(Arc::clone(&served.tuples));
     }
     Ok(extractions)
+}
+
+/// The `slots` entry of a frontier entry the relevance filter pruned.
+const PRUNED: u32 = u32::MAX;
+
+/// A served unique key.
+struct Served {
+    tuples: Arc<[Tuple]>,
+    /// Whether this dispatch performed the access (not a cache hit).
+    loaded: bool,
+    /// The source latency attributed to the access, in µs (0 when it was
+    /// not performed here or metrics are off).
+    micros: u64,
+}
+
+/// What became of each unique key, in first-occurrence order.
+struct Outcomes {
+    served: Vec<Option<Served>>,
+    /// The failure with the smallest unique index, and that index.
+    failure: Option<(usize, EngineError)>,
+}
+
+impl Outcomes {
+    fn settle(&mut self, u: usize, lookup: BatchLookup<EngineError>, micros: u64) {
+        match lookup {
+            BatchLookup::Served(lookup) => {
+                let loaded = lookup.outcome.loaded();
+                self.served[u] = Some(Served {
+                    tuples: lookup.tuples,
+                    loaded,
+                    micros: if loaded { micros } else { 0 },
+                });
+            }
+            BatchLookup::Failed(e) => {
+                if self.failure.as_ref().is_none_or(|(first, _)| u < *first) {
+                    self.failure = Some((u, e));
+                }
+            }
+            BatchLookup::Skipped => {}
+        }
+    }
+}
+
+/// What every batch of one frontier shares: the provider, the budget
+/// reservation and the queue-wait probe.
+struct RoundTrips<'a> {
+    provider: &'a dyn SourceProvider,
+    /// The log as of the frontier's start: its accesses are exempt from the
+    /// budget.
+    log: &'a AccessLog,
+    /// Distinct accesses performed so far (shared budget reservation).
+    performed: AtomicUsize,
+    /// Whether the budget can bind within this frontier at all. When the
+    /// log plus every unique key fits, no reservation can fail, so neither
+    /// the reservations nor the exemption checks are made.
+    budget_binds: bool,
+    max_accesses: usize,
+    queue_wait: Option<Arc<Gauge>>,
+    /// When dispatch began; `Some` exactly when metrics are on, which also
+    /// turns on per-round-trip latency attribution.
+    dispatch_start: Option<Instant>,
+}
+
+impl RoundTrips<'_> {
+    /// Resolves one batch through the cache, its misses loaded in one
+    /// source round trip; hands each outcome to `settle` with its offset in
+    /// the batch and its attributed latency. Returns `false` when some
+    /// request was not served.
+    fn run(
+        &self,
+        loader: &mut BatchLoader<'_>,
+        batch: &[&AccessKey],
+        mut settle: impl FnMut(usize, BatchLookup<EngineError>, u64),
+    ) -> bool {
+        let share = Cell::new(0u64);
+        let mut complete = true;
+        loader.load(
+            batch,
+            |led| self.round_trip(led, &share),
+            |offset, lookup| {
+                complete &= lookup.served().is_some();
+                settle(offset, lookup, share.get());
+            },
+        );
+        complete
+    }
+
+    /// One source round trip for the keys a batch leads. Reserves budget
+    /// for every non-exempt key, in order; the first key that cannot be
+    /// reserved fails the batch there, and the remainder is never
+    /// attempted. With metrics on, the round trip's wall-clock is split
+    /// evenly over the keys it attempted, into `share`.
+    fn round_trip(&self, led: &[AccessKey], share: &Cell<u64>) -> Vec<AccessResult> {
+        if let (Some(g), Some(t0)) = (&self.queue_wait, &self.dispatch_start) {
+            g.record_max(micros_since(t0));
+        }
+        let mut attempt = led.len();
+        let mut busted = false;
+        if self.budget_binds {
+            for (j, (relation, binding)) in led.iter().enumerate() {
+                if self.log.contains(*relation, binding) {
+                    continue;
+                }
+                if !reserve(&self.performed, self.max_accesses) {
+                    attempt = j;
+                    busted = true;
+                    break;
+                }
+            }
+        }
+        let load_start = self.dispatch_start.map(|_| Instant::now());
+        let mut out = self.provider.access_batch(&led[..attempt]);
+        if let Some(start) = &load_start {
+            share.set(micros_since(start) / attempt.max(1) as u64);
+        }
+        out.truncate(attempt);
+        if busted {
+            out.push(LoadResult::Failed(EngineError::AccessBudgetExceeded {
+                limit: self.max_accesses,
+            }));
+        }
+        while out.len() < led.len() {
+            out.push(LoadResult::Skipped);
+        }
+        out
+    }
 }
 
 /// Microseconds elapsed since `start`, saturating instead of truncating.
 fn micros_since(start: &Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The attributed latency recorded for a unique-key slot, `0` when latency
-/// accounting is off (tracing without metrics cannot happen — a sink
-/// implies an enabled handle).
-fn slot_latency(latency_us: &Option<Vec<AtomicU64>>, slot: usize) -> u64 {
-    latency_us
-        .as_ref()
-        .map_or(0, |lat| lat[slot].load(Ordering::Relaxed))
-}
-
-/// Writes one batch's results into the per-unique-key outcome table.
-fn scatter(
-    outcomes: &mut [Option<BatchLookup<EngineError>>],
-    batch_index: usize,
-    batch_size: usize,
-    results: Vec<BatchLookup<EngineError>>,
-) {
-    let base = batch_index * batch_size;
-    for (offset, result) in results.into_iter().enumerate() {
-        outcomes[base + offset] = Some(result);
-    }
 }
 
 /// Reserves one unit of access budget; `false` when the budget is

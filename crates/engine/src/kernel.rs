@@ -141,6 +141,8 @@ impl<'a> Kernel<'a> {
     /// relevance filter (`keep`, when given), dispatches the survivors
     /// through the shared cache, and returns the extractions aligned with
     /// the *requested* frontier — pruned entries yield empty extractions.
+    /// The frontier is borrowed all the way down: the filter leaves a mask,
+    /// not a copy of the kept keys.
     ///
     /// With no filter the round is byte-identical to handing the frontier
     /// straight to the dispatcher: same accesses, same log order, same
@@ -153,17 +155,10 @@ impl<'a> Kernel<'a> {
         if frontier.is_empty() {
             return Ok(Vec::new());
         }
-        let kept_mask: Vec<bool> = match keep {
-            Some(keep) => frontier.iter().map(keep).collect(),
-            None => vec![true; frontier.len()],
-        };
-        let kept: Vec<AccessKey> = frontier
-            .iter()
-            .zip(&kept_mask)
-            .filter(|(_, &k)| k)
-            .map(|(key, _)| key.clone())
-            .collect();
-        let pruned = frontier.len() - kept.len();
+        let kept: Option<Vec<bool>> = keep.map(|keep| frontier.iter().map(keep).collect());
+        let pruned = kept
+            .as_ref()
+            .map_or(0, |kept| kept.iter().filter(|&&k| !k).count());
         self.report.frontier_sizes.push(frontier.len());
         self.report.pruned_per_frontier.push(pruned);
         self.report.accesses_pruned += pruned;
@@ -183,10 +178,10 @@ impl<'a> Kernel<'a> {
             // Every requested access gets an `access_requested` event —
             // pruned entries and duplicates included — so the trace can be
             // reconciled request-by-request against the dispatch report.
-            for (key, &keep) in frontier.iter().zip(&kept_mask) {
+            for (f, key) in frontier.iter().enumerate() {
                 self.obs
                     .trace(round, || EventKind::AccessRequested { key: key.clone() });
-                if !keep {
+                if kept.as_ref().is_some_and(|kept| !kept[f]) {
                     self.obs
                         .trace(round, || EventKind::AccessPruned { key: key.clone() });
                 }
@@ -197,7 +192,8 @@ impl<'a> Kernel<'a> {
             self.cache,
             self.provider,
             self.log,
-            &kept,
+            frontier,
+            kept.as_deref(),
             self.dispatch,
             self.max_accesses,
             self.report,
@@ -223,23 +219,7 @@ impl<'a> Kernel<'a> {
             self.flush_delta(frontier.len());
         }
 
-        if pruned == 0 {
-            return Ok(dispatched);
-        }
-        // Re-align with the requested frontier: pruned entries extract
-        // nothing, by construction of the relevance filter.
-        let empty: Arc<[Tuple]> = Vec::new().into();
-        let mut dispatched = dispatched.into_iter();
-        Ok(kept_mask
-            .iter()
-            .map(|&k| {
-                if k {
-                    dispatched.next().expect("one extraction per kept access")
-                } else {
-                    Arc::clone(&empty)
-                }
-            })
-            .collect())
+        Ok(dispatched)
     }
 
     /// Records `n` derivations the Magic tier's demand filter kept out of a

@@ -12,17 +12,24 @@ use crate::wire::push_json_string;
 pub struct WireClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The outgoing line and its newline, so a request leaves in one write.
+    outgoing: Vec<u8>,
     tenant: String,
     next_id: i64,
 }
 
 impl WireClient {
-    /// Connects to `addr` as `tenant`.
+    /// Connects to `addr` as `tenant`. Nagle's algorithm is off: a request
+    /// is one small write answered before the next is sent, so holding it
+    /// back for the peer's delayed ACK would add tens of milliseconds to
+    /// every round trip.
     pub fn connect(addr: impl ToSocketAddrs, tenant: &str) -> std::io::Result<WireClient> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(WireClient {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
+            outgoing: Vec::new(),
             tenant: tenant.to_string(),
             next_id: 0,
         })
@@ -34,11 +41,12 @@ impl WireClient {
     }
 
     /// Sends a raw request line (no trailing newline) and returns the raw
-    /// response line.
+    /// response line. The line and its newline go out in one write.
     pub fn round_trip(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.outgoing.clear();
+        self.outgoing.extend_from_slice(line.as_bytes());
+        self.outgoing.push(b'\n');
+        self.writer.write_all(&self.outgoing)?;
         let mut reply = String::new();
         let n = self.reader.read_line(&mut reply)?;
         if n == 0 {
@@ -152,6 +160,21 @@ pub fn reply_answers(reply: &str) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn connections_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client =
+            WireClient::connect(listener.local_addr().expect("addr"), "t").expect("connect");
+        assert!(
+            client.writer.nodelay().expect("nodelay"),
+            "requests must not wait for an ACK"
+        );
+        assert!(
+            client.reader.get_ref().nodelay().expect("nodelay"),
+            "one socket, one setting"
+        );
+    }
 
     #[test]
     fn reply_helpers_extract_fragments() {

@@ -315,7 +315,7 @@ impl Service {
                     out.push_str(",\"budget_remaining\":");
                     out.push_str(&budget_remaining.to_string());
                     out.push_str(",\"response\":");
-                    out.push_str(&response.to_json(self.system.schema()));
+                    out.push_str(&response.to_json_without_metrics(self.system.schema()));
                     out.push('}');
                     Ok(out)
                 }

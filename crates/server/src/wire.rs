@@ -17,9 +17,10 @@
 //! * `query` — the statement text, required by the four query verbs.
 //!
 //! Successful responses are `{"id":N,"ok":true,"verb":"…",…}` with a
-//! verb-specific payload (`execute`/`ask` embed the full
-//! [`Response::to_json`](toorjah_system::Response::to_json) object under
-//! `"response"`). Failures are a typed error shape, pinned byte-for-byte by
+//! verb-specific payload (`execute`/`ask` embed the statement's
+//! [`Response::to_json_without_metrics`](toorjah_system::Response::to_json_without_metrics)
+//! object under `"response"` — the process-wide metrics report is served by
+//! the `metrics` verb, not repeated in every reply). Failures are a typed error shape, pinned byte-for-byte by
 //! the golden tests:
 //!
 //! ```json

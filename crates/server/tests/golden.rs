@@ -18,9 +18,13 @@ use toorjah_obs::Obs;
 use toorjah_server::{Service, ServiceConfig};
 use toorjah_system::Toorjah;
 
-/// A two-hop fixture: observability disabled so execute/ask responses end
-/// in the deterministic `"metrics":null`.
+/// A two-hop fixture with observability disabled, so the `metrics` verb's
+/// registry block is the deterministic `null`.
 fn service_with(config: ServiceConfig) -> Service {
+    service_observed(config, Obs::disabled())
+}
+
+fn service_observed(config: ServiceConfig, obs: Obs) -> Service {
     let schema = Schema::parse("r1^io(A, B) r2^io(B, C)").unwrap();
     let db = Instance::with_data(
         &schema,
@@ -32,7 +36,7 @@ fn service_with(config: ServiceConfig) -> Service {
     .unwrap();
     let system = Toorjah::builder(InstanceSource::new(schema, db))
         .cache(SharedAccessCache::unbounded())
-        .observability(Obs::disabled())
+        .observability(obs)
         .build();
     Service::new(system, config)
 }
@@ -80,11 +84,26 @@ fn golden_execute() {
         toorjah_server::DEFAULT_TENANT_BUDGET - 2,
     );
     assert!(reply.starts_with(&prefix), "prefix mismatch:\n{reply}");
-    // Byte-pinned suffix: everything after the timing fields.
+    // Byte-pinned suffix: everything after the timing fields. Replies
+    // carry the statement's own account only — no metrics member.
     assert!(
-        reply.ends_with(",\"execution\":1},\"metrics\":null}}"),
+        reply.ends_with(",\"execution\":1}}}"),
         "suffix mismatch:\n{reply}"
     );
+}
+
+#[test]
+fn golden_execute_leaves_process_metrics_to_the_metrics_verb() {
+    // With observability on, every execution captures a metrics report;
+    // the wire reply still ends with the profile, and the report is what
+    // the `metrics` verb serves.
+    let service = service_observed(ServiceConfig::default(), Obs::enabled());
+    let reply =
+        service.handle_line(r#"{"id":3,"verb":"execute","query":"q(C) <- r1('a', B), r2(B, C)"}"#);
+    assert!(reply.ends_with(",\"execution\":1}}}"), "{reply}");
+    assert!(!reply.contains("\"metrics\""), "{reply}");
+    let metrics = service.handle_line(r#"{"id":4,"verb":"metrics"}"#);
+    assert!(metrics.contains("\"metrics\":{\"interner\":{"), "{metrics}");
 }
 
 #[test]
@@ -103,10 +122,7 @@ fn golden_ask() {
     // Unlike execute-via-registry, the one-shot ask reports parse timing.
     assert!(reply.contains("\"timings_us\":{\"parse\":"), "{reply}");
     assert!(!reply.contains("\"parse\":null"), "{reply}");
-    assert!(
-        reply.ends_with(",\"execution\":1},\"metrics\":null}}"),
-        "{reply}"
-    );
+    assert!(reply.ends_with(",\"execution\":1}}}"), "{reply}");
 }
 
 #[test]

@@ -49,6 +49,22 @@ impl Response {
     /// come from `schema` (relations never accessed are omitted from
     /// `per_relation`); durations are integral microseconds.
     pub fn to_json(&self, schema: &Schema) -> String {
+        let mut out = self.to_json_without_metrics(schema);
+        out.pop(); // the closing brace
+        out.push_str(",\"metrics\":");
+        match &self.metrics {
+            Some(m) => m.write_json(&mut out),
+            None => out.push_str("null"),
+        }
+        out.push('}');
+        out
+    }
+
+    /// [`Response::to_json`] without the `metrics` member: the statement's
+    /// own account only. The process-wide metrics report can be as large as
+    /// the rest of the response, so the daemon renders its replies this way
+    /// and serves the report through its `metrics` verb instead.
+    pub fn to_json_without_metrics(&self, schema: &Schema) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"statement\":");
         push_str_json(&mut out, self.profile.statement.name());
@@ -145,13 +161,7 @@ impl Response {
             p.timings.total.as_micros()
         );
         let _ = write!(out, ",\"execution\":{}", p.execution);
-        out.push('}');
-        out.push_str(",\"metrics\":");
-        match &self.metrics {
-            Some(m) => m.write_json(&mut out),
-            None => out.push_str("null"),
-        }
-        out.push('}');
+        out.push_str("}}");
         out
     }
 }

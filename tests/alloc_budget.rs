@@ -1,0 +1,159 @@
+//! Pins the heap cost of one performed access on the paper's §V workload.
+//!
+//! The paper's cost model counts accesses; q2 and q3 make tens of thousands
+//! of them, so whatever the engine allocates per access — dispatch
+//! scaffolding, cache bookkeeping, the access log — multiplies straight
+//! into wall-clock. A counting global allocator makes the per-access
+//! budget a test: the q2- and q3-shaped statements run sequentially, as the
+//! CLI runs them, and the allocations of `Prepared::execute` divided by
+//! the accesses it performed must stay at or below a fixed bound. The same
+//! runs are checked against the naive Fig. 1 evaluator, so the budget can
+//! only be met by a path that still computes the right answers with the
+//! right accesses.
+//!
+//! This is its own test binary because the allocator is process-global.
+//! The `unsafe` below is the one unavoidable `GlobalAlloc` impl; it
+//! delegates straight to `System` plus a relaxed counter.
+
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+use toorjah::engine::{naive_evaluate, InstanceSource, NaiveOptions};
+use toorjah::query::Statement;
+use toorjah::system::{ExecMode, Toorjah};
+use toorjah::workload::publications::{
+    paper_queries, publication_instance, publication_schema, PublicationConfig,
+};
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+/// The counter is process-global: the two tests take turns so neither
+/// counts the other's allocations.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Large enough that per-access costs dominate the per-statement ones
+/// (planning, executor set-up, the metrics report), small enough for a
+/// debug-build test run.
+fn config() -> PublicationConfig {
+    PublicationConfig {
+        papers: 120,
+        persons: 120,
+        conferences: 30,
+        years: 8,
+        tuples_per_relation: 300,
+        seed: 0x1CDE_2008,
+    }
+}
+
+/// Runs one of the paper's queries as the CLI does (sequential, no session
+/// cache, metrics on) and returns allocations per performed access, after
+/// checking answers and accesses against the naive Fig. 1 evaluator.
+fn allocations_per_access(name: &str) -> f64 {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let schema = publication_schema();
+    let instance = publication_instance(&schema, &config());
+    let source = InstanceSource::new(schema.clone(), instance);
+    let (_, query) = paper_queries(&schema)
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .expect("a paper query");
+    let naive = naive_evaluate(&query, &schema, &source, NaiveOptions::default())
+        .expect("naive evaluation");
+
+    let system = Toorjah::builder(source).build();
+    let text = query.display(&schema).to_string();
+    let statement = Statement::parse(&text, &schema).expect("statement parses");
+    let prepared = system.prepare(&statement).expect("statement plans");
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let response = prepared
+        .execute(ExecMode::Sequential)
+        .expect("statement executes");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let mut answers = response.answers.clone();
+    answers.sort();
+    let mut expected = naive.answers.clone();
+    expected.sort();
+    assert_eq!(
+        answers, expected,
+        "{name}: answers equal the naive evaluator's"
+    );
+    let performed = response.profile.accesses_performed as usize;
+    assert!(
+        performed > 1_000,
+        "{name}: too few accesses ({performed}) to measure a per-access cost"
+    );
+    for (relation, _) in schema.iter() {
+        let (planned, naive) = (
+            response.stats().accesses_to(relation),
+            naive.stats.accesses_to(relation),
+        );
+        assert!(
+            planned <= naive,
+            "{name}: {planned} accesses to {relation:?}, more than naive's {naive}"
+        );
+    }
+    println!(
+        "{name}: {performed} accesses performed, {} by naive",
+        naive.stats.total_accesses
+    );
+    assert_eq!(
+        response.profile.accesses_performed
+            + response.profile.accesses_served_by_cache
+            + response.profile.dispatch.accesses_pruned as u64,
+        response.profile.dispatch.total_requested() as u64,
+        "{name}: every requested access is accounted for"
+    );
+    allocations as f64 / performed as f64
+}
+
+/// q2 is the access-heavy query: almost every access extracts nothing, so
+/// its figure is the dispatch path's own cost — the provider's result
+/// vector, plus amortized growth of the log and the cache. Measured 1.22
+/// (8.2 before the dispatch, cache and log stopped allocating per access).
+#[test]
+fn q2_allocations_per_access_stay_within_budget() {
+    let per_access = allocations_per_access("q2");
+    println!("q2: {per_access:.2} allocations per performed access");
+    assert!(
+        per_access <= 1.5,
+        "q2: {per_access:.2} allocations per access"
+    );
+}
+
+/// q3 makes fewer accesses and folds more of what they extract, so the
+/// executor's per-statement work weighs in. Measured 8.16 (15.2 before).
+#[test]
+fn q3_allocations_per_access_stay_within_budget() {
+    let per_access = allocations_per_access("q3");
+    println!("q3: {per_access:.2} allocations per performed access");
+    assert!(
+        per_access <= 9.0,
+        "q3: {per_access:.2} allocations per access"
+    );
+}

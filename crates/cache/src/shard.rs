@@ -193,6 +193,10 @@ struct FlightState {
     /// Per batch position: the extraction, or `None` when that access
     /// failed or was never attempted (its waiters then retry).
     results: Vec<Option<Arc<[Tuple]>>>,
+    /// Threads that found the batch unsettled and block on the condvar.
+    /// Registered under the state lock, so the leader's `finish` — which
+    /// takes the same lock — either sees them or settled first.
+    waiters: usize,
 }
 
 impl Flight {
@@ -208,17 +212,24 @@ impl Flight {
     /// leader itself).
     fn wait(&self, pos: usize) -> Option<Arc<[Tuple]>> {
         let mut state = lock(&self.state);
-        while !state.done {
-            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+        if !state.done {
+            state.waiters += 1;
+            while !state.done {
+                state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+            }
         }
         state.results.get(pos).cloned().flatten()
     }
 
-    /// Marks the batch settled and wakes every waiter.
+    /// Marks the batch settled and wakes every waiter. Most batches have
+    /// none, and then the wake-up (a futex syscall on Linux) is skipped.
     fn finish(&self, mut state: StdMutexGuard<'_, FlightState>) {
         state.done = true;
+        let watched = state.waiters > 0;
         drop(state);
-        self.cv.notify_all();
+        if watched {
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -886,6 +897,7 @@ impl BatchLoader<'_> {
                         .unwrap_or_else(PoisonError::into_inner);
                     state.done = false;
                     state.results.clear();
+                    state.waiters = 0;
                 }
                 None => *flight = Flight::new(),
             }
@@ -1308,6 +1320,56 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits + stats.coalesced_hits, 7);
+    }
+
+    /// `finish` skips the wake-up when no waiter registered; one that
+    /// registered while the load was still running must still be woken.
+    #[test]
+    fn a_waiter_registered_before_the_batch_settles_is_woken() {
+        use std::sync::mpsc::channel;
+        let cache = SharedAccessCache::unbounded();
+        let key: Key = (RelationId(0), k(5));
+        let (claimed_tx, claimed_rx) = channel::<()>();
+        let (release_tx, release_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel::<Lookup>();
+        let leader = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                cache.get_or_load(RelationId(0), &k(5), || {
+                    claimed_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok::<_, ()>(extraction(5))
+                })
+            })
+        };
+        claimed_rx.recv().unwrap();
+        let waiter = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                let lookup = cache
+                    .get_or_load(RelationId(0), &k(5), || Err("the key is in flight"))
+                    .expect("served by the leader");
+                done_tx.send(lookup).unwrap();
+            })
+        };
+        // The waiter registers on the flight under its lock; release the
+        // leader only once it has.
+        let flight = match &cache.inner.shards[cache.shard_index(&key)].lock().map[&key] {
+            Slot::Pending(flight, _) => Arc::clone(flight),
+            Slot::Ready(_) => panic!("the leader's load is still running"),
+        };
+        while lock(&flight.state).waiters == 0 {
+            std::thread::yield_now();
+        }
+        release_tx.send(()).unwrap();
+        assert!(leader.join().unwrap().is_ok());
+        let lookup = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the registered waiter is woken");
+        waiter.join().unwrap();
+        assert_eq!(lookup.outcome, LookupOutcome::CoalescedHit);
+        assert_eq!(lookup.tuples.len(), 2);
+        assert_eq!(cache.stats().coalesced_hits, 1);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`evaluate`] — the **delta-join** evaluator: every pass enumerates the
 //!   pivot literal's *delta first*, then joins the remaining literals (in a
 //!   greedy bound-variable order) against the full extents through the
-//!   column-index probes of [`FactStore::candidates`]. Per-round work is
-//!   proportional to the delta, not the total, and a shared bind trail
-//!   keeps the inner join loop allocation-free.
+//!   column-index probes of the search kernel ([`Search`]). Per-round work
+//!   is proportional to the delta, not the total, and the kernel's shared
+//!   bind trail keeps the inner join loop allocation-free.
 //! * [`evaluate_full_join`] — the historical evaluator enumerating every
 //!   body in literal order from the full extents. It is kept as the oracle
 //!   the delta evaluator is property-tested against: answers, rounds,
@@ -23,10 +23,13 @@
 
 use std::collections::HashSet;
 
-use toorjah_catalog::{Tuple, Value};
+use toorjah_catalog::Tuple;
 use toorjah_obs::Obs;
 
-use crate::{DTerm, FactStore, Literal, PredId, Program, Rule};
+use crate::search::instantiate;
+use crate::{
+    head_instances, satisfiable, DTerm, FactStore, Goal, Literal, PredId, Program, Rule, Search,
+};
 
 /// Counters describing one evaluation run.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
@@ -152,12 +155,11 @@ pub fn evaluate_with_obs(program: &Program, edb: &FactStore, obs: Obs) -> (FactS
         rounds: 1,
         ..EvalStats::default()
     };
-    // Shared scratch: the binding vector and bind trail are reused across
-    // every pass (a completed search always unwinds its trail, leaving the
-    // binding vector all-unbound), as are the head-tuple and new-fact
-    // buffers and — via [`FactStore::clear`] — the delta store itself.
-    let mut binding: Vec<Option<Value>> = vec![None; max_vars];
-    let mut trail: Vec<u32> = Vec::with_capacity(max_vars);
+    // Shared scratch: the search state is reused across every pass (a
+    // completed run leaves it all-unbound), as are the head-tuple and
+    // new-fact buffers and — via [`FactStore::clear`] — the delta store
+    // itself.
+    let mut search = Search::new(max_vars);
     let mut out: Vec<Tuple> = Vec::new();
     let mut new_facts: Vec<(PredId, Tuple)> = Vec::new();
     let mut pending = FactStore::unindexed();
@@ -166,21 +168,13 @@ pub fn evaluate_with_obs(program: &Program, edb: &FactStore, obs: Obs) -> (FactS
         if !idb_positions.is_empty() {
             continue;
         }
-        let order: Vec<usize> = (0..rule.body.len()).collect();
+        let goals: Vec<Goal<'_>> = rule.body.iter().map(|l| goal(l, edb)).collect();
         out.clear();
-        delta_search(
-            rule,
-            &order,
-            &|_| Source::Edb,
-            edb,
-            &total,
-            &delta,
-            0,
-            &mut binding,
-            &mut trail,
-            &mut out,
-            &mut stats,
-        );
+        search.run(&goals, &mut |binding| {
+            stats.derivations += 1;
+            out.push(instantiate(&rule.head.terms, binding));
+            true
+        });
         for t in out.drain(..) {
             if total.insert(rule.head.pred, t.clone()) {
                 delta.insert(rule.head.pred, t);
@@ -210,28 +204,26 @@ pub fn evaluate_with_obs(program: &Program, edb: &FactStore, obs: Obs) -> (FactS
                 if delta.is_empty(rule.body[pivot].pred) {
                     continue;
                 }
-                out.clear();
-                delta_search(
-                    rule,
-                    &orders[k],
-                    &|i| {
-                        if !is_idb(rule.body[i].pred) {
-                            Source::Edb
+                let goals: Vec<Goal<'_>> = orders[k]
+                    .iter()
+                    .map(|&i| {
+                        let lit = &rule.body[i];
+                        let store = if !is_idb(lit.pred) {
+                            edb
                         } else if i == pivot {
-                            Source::Delta
+                            &delta
                         } else {
-                            Source::Total
-                        }
-                    },
-                    edb,
-                    &total,
-                    &delta,
-                    0,
-                    &mut binding,
-                    &mut trail,
-                    &mut out,
-                    &mut stats,
-                );
+                            &total
+                        };
+                        goal(lit, store)
+                    })
+                    .collect();
+                out.clear();
+                search.run(&goals, &mut |binding| {
+                    stats.derivations += 1;
+                    out.push(instantiate(&rule.head.terms, binding));
+                    true
+                });
                 for t in out.drain(..) {
                     if !total.contains(rule.head.pred, &t) {
                         new_facts.push((rule.head.pred, t));
@@ -287,10 +279,10 @@ fn pivot_order(rule: &Rule, pivot: usize) -> Vec<usize> {
     order
 }
 
-/// The full-join oracle: the evaluator [`evaluate`] replaced, kept verbatim
-/// as its differential-testing reference. Bodies are enumerated in literal
-/// order from the full extents (delta only at the pivot), with a fresh
-/// bound-variable list per candidate. Answers and every [`EvalStats`]
+/// The full-join oracle: the schedule [`evaluate`] replaced, kept as its
+/// differential-testing reference. Bodies are enumerated in literal order
+/// from the full extents (delta only at the pivot), recomputing the
+/// IDB positions per rule and round. Answers and every [`EvalStats`]
 /// counter — including per-round delta sizes — match [`evaluate`] exactly;
 /// only internal tuple production order differs.
 pub fn evaluate_full_join(program: &Program, edb: &FactStore) -> (FactStore, EvalStats) {
@@ -381,235 +373,23 @@ pub fn evaluate_full_join(program: &Program, edb: &FactStore) -> (FactStore, Eva
     (total, stats)
 }
 
-/// Evaluates a single rule once against `facts`, returning all derivable
-/// head instances (with duplicates possible when several body assignments
-/// agree on the head). Used by the plan executor for the final answer
-/// computation.
-///
-/// The body is decomposed into variable-connected components first:
-/// components that bind no head variable are reduced to satisfiability
-/// checks, and the remaining components are enumerated independently and
-/// combined. This keeps disconnected bodies (e.g. a query with a cartesian
-/// guard atom) from blowing up into a product enumeration.
+/// Evaluates a single rule once against `facts`, returning its distinct
+/// head instances — the plan executor's final answer computation. The body
+/// is enumerated in literal order through [`head_instances`]: components
+/// binding no head variable reduce to satisfiability checks, so a
+/// disconnected guard atom multiplies nothing.
 pub fn rule_head_instances(rule: &Rule, facts: &FactStore) -> Vec<Tuple> {
-    let components = body_components(rule);
-    let head_vars: HashSet<u32> = rule.head.terms.iter().filter_map(DTerm::as_var).collect();
-
-    // Guard components (no head variable): pure satisfiability.
-    let mut head_components: Vec<&BodyComponent> = Vec::new();
-    for component in &components {
-        if component.vars.is_disjoint(&head_vars) {
-            if !rule_body_satisfiable(rule, &component.literals, facts) {
-                return Vec::new();
-            }
-        } else {
-            head_components.push(component);
-        }
-    }
-
-    // Enumerate each head component once, projecting onto its head vars.
-    let mut projections: Vec<Vec<Vec<(u32, Value)>>> = Vec::new();
-    for component in &head_components {
-        let relevant: Vec<u32> = component.vars.intersection(&head_vars).copied().collect();
-        let rows = project_component(&relevant, |on_row| {
-            enumerate_subset(rule, &component.literals, facts, on_row);
-        });
-        if rows.is_empty() {
-            return Vec::new();
-        }
-        projections.push(rows);
-    }
-
-    // Combine the component projections into head instances.
-    let mut out = Vec::new();
-    combine_projections(rule.var_names.len(), &projections, |assignment| {
-        out.push(instantiate(&rule.head, assignment));
-    });
-    out
+    let goals: Vec<Goal<'_>> = rule.body.iter().map(|l| goal(l, facts)).collect();
+    let order: Vec<usize> = (0..goals.len()).collect();
+    head_instances(&rule.head.terms, &goals, &order, rule.var_names.len())
 }
 
-/// Collects the deduplicated projections of a component's satisfying
-/// assignments onto the `relevant` variables. `enumerate` must invoke its
-/// callback once per satisfying assignment (a full binding vector indexed
-/// by variable id) and stop when the callback returns `false`. Rows are
-/// sorted by variable id and returned in first-encounter order.
-///
-/// Shared by this module's [`rule_head_instances`] and the engine's
-/// conjunctive-query evaluator, which enumerate different representations
-/// (Datalog rules vs. query atoms) but project head components identically.
-pub fn project_component(
-    relevant: &[u32],
-    enumerate: impl FnOnce(&mut dyn FnMut(&[Option<Value>]) -> bool),
-) -> Vec<Vec<(u32, Value)>> {
-    let mut seen: HashSet<Vec<(u32, Value)>> = HashSet::new();
-    let mut rows = Vec::new();
-    enumerate(&mut |binding| {
-        let mut row: Vec<(u32, Value)> = relevant
-            .iter()
-            .map(|&v| {
-                (
-                    v,
-                    binding[v as usize].expect("component variables are bound"),
-                )
-            })
-            .collect();
-        row.sort_by_key(|(v, _)| *v);
-        if seen.insert(row.clone()) {
-            rows.push(row);
-        }
-        true
-    });
-    rows
-}
-
-/// Combines per-component head projections (as produced by
-/// [`project_component`]) into full assignments: an odometer walks every
-/// combination of one row per component, merges it into a binding vector of
-/// `var_count` slots, and hands it to `emit`. With no components a single
-/// all-unbound assignment is emitted, matching the semantics of a rule or
-/// query whose head needs nothing (boolean heads).
-pub fn combine_projections(
-    var_count: usize,
-    projections: &[Vec<Vec<(u32, Value)>>],
-    mut emit: impl FnMut(&[Option<Value>]),
-) {
-    debug_assert!(projections.iter().all(|rows| !rows.is_empty()));
-    let mut choice = vec![0usize; projections.len()];
-    loop {
-        let mut assignment: Vec<Option<Value>> = vec![None; var_count];
-        for (c, rows) in projections.iter().enumerate() {
-            for (v, value) in &rows[choice[c]] {
-                assignment[*v as usize] = Some(*value);
-            }
-        }
-        emit(&assignment);
-        // Advance the odometer over component choices.
-        let mut pos = 0;
-        loop {
-            if pos == choice.len() {
-                return;
-            }
-            choice[pos] += 1;
-            if choice[pos] < projections[pos].len() {
-                break;
-            }
-            choice[pos] = 0;
-            pos += 1;
-        }
+/// A body literal over `store`'s extent of its predicate.
+fn goal<'a>(lit: &'a Literal, store: &'a FactStore) -> Goal<'a> {
+    Goal {
+        terms: &lit.terms,
+        extent: store.extent(lit.pred),
     }
-}
-
-/// A variable-connected group of body literals.
-struct BodyComponent {
-    literals: Vec<usize>,
-    vars: HashSet<u32>,
-}
-
-/// Splits a rule body into variable-connected components (ground literals
-/// each form their own component).
-fn body_components(rule: &Rule) -> Vec<BodyComponent> {
-    let n = rule.body.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
-    }
-    let mut owner: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    for (i, lit) in rule.body.iter().enumerate() {
-        for v in lit.terms.iter().filter_map(DTerm::as_var) {
-            match owner.get(&v) {
-                Some(&j) => {
-                    let (a, b) = (find(&mut parent, i), find(&mut parent, j));
-                    parent[a] = b;
-                }
-                None => {
-                    owner.insert(v, i);
-                }
-            }
-        }
-    }
-    let mut components: std::collections::HashMap<usize, BodyComponent> =
-        std::collections::HashMap::new();
-    for i in 0..n {
-        let root = find(&mut parent, i);
-        let entry = components.entry(root).or_insert_with(|| BodyComponent {
-            literals: Vec::new(),
-            vars: HashSet::new(),
-        });
-        entry.literals.push(i);
-        entry
-            .vars
-            .extend(rule.body[i].terms.iter().filter_map(DTerm::as_var));
-    }
-    let mut out: Vec<BodyComponent> = components.into_values().collect();
-    out.sort_by_key(|c| c.literals[0]);
-    out
-}
-
-/// Enumerates all satisfying assignments of the selected body literals;
-/// `on_match` returns `false` to stop.
-fn enumerate_subset(
-    rule: &Rule,
-    subset: &[usize],
-    facts: &FactStore,
-    on_match: &mut dyn FnMut(&[Option<Value>]) -> bool,
-) {
-    let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
-    enumerate_search(rule, subset, facts, 0, &mut binding, on_match);
-}
-
-fn enumerate_search(
-    rule: &Rule,
-    subset: &[usize],
-    facts: &FactStore,
-    depth: usize,
-    binding: &mut Vec<Option<Value>>,
-    on_match: &mut dyn FnMut(&[Option<Value>]) -> bool,
-) -> bool {
-    let Some(&lit_idx) = subset.get(depth) else {
-        return on_match(binding);
-    };
-    let lit = &rule.body[lit_idx];
-    let bound_col = lit.terms.iter().enumerate().find_map(|(col, t)| match t {
-        DTerm::Const(c) => Some((col, *c)),
-        DTerm::Var(v) => binding[*v as usize].map(|val| (col, val)),
-    });
-    // Borrowed posting-list iteration: no per-probe allocation.
-    'cand: for pos in facts.candidates(lit.pred, bound_col) {
-        let tuple = &facts.tuples(lit.pred)[pos];
-        let mut newly_bound: Vec<u32> = Vec::new();
-        for (t, v) in lit.terms.iter().zip(tuple.values()) {
-            match t {
-                DTerm::Const(c) => {
-                    if c != v {
-                        unbind(binding, &newly_bound);
-                        continue 'cand;
-                    }
-                }
-                DTerm::Var(var) => match &binding[*var as usize] {
-                    Some(bound) => {
-                        if bound != v {
-                            unbind(binding, &newly_bound);
-                            continue 'cand;
-                        }
-                    }
-                    None => {
-                        binding[*var as usize] = Some(*v);
-                        newly_bound.push(*var);
-                    }
-                },
-            }
-        }
-        let keep = enumerate_search(rule, subset, facts, depth + 1, binding, on_match);
-        unbind(binding, &newly_bound);
-        if !keep {
-            return false;
-        }
-    }
-    true
 }
 
 /// Evaluates a single rule with body literal `pinned_idx` restricted to the
@@ -623,22 +403,22 @@ pub fn rule_head_instances_pinned(
     pinned_idx: usize,
     pinned: &FactStore,
 ) -> Vec<Tuple> {
-    let mut stats = EvalStats::default();
+    let source_of = |i| {
+        if i == pinned_idx {
+            Source::Delta
+        } else {
+            Source::Edb
+        }
+    };
     let mut out = Vec::new();
     apply_rule(
         rule,
-        |i| {
-            if i == pinned_idx {
-                Source::Delta
-            } else {
-                Source::Edb
-            }
-        },
+        source_of,
         facts,
         facts,
         pinned,
         &mut out,
-        &mut stats,
+        &mut EvalStats::default(),
     );
     out
 }
@@ -649,77 +429,11 @@ pub fn rule_head_instances_pinned(
 /// the first witness.
 ///
 /// Variable-disconnected parts of the subset are checked independently, so
-/// an unsatisfiable component is discovered without iterating the others.
+/// an unsatisfiable component is discovered without iterating the others,
+/// and each part searches its bound literals first (see [`satisfiable`]).
 pub fn rule_body_satisfiable(rule: &Rule, subset: &[usize], facts: &FactStore) -> bool {
-    if subset.is_empty() {
-        return true;
-    }
-    let in_subset: HashSet<usize> = subset.iter().copied().collect();
-    for component in body_components(rule) {
-        let part: Vec<usize> = component
-            .literals
-            .iter()
-            .copied()
-            .filter(|i| in_subset.contains(i))
-            .collect();
-        if part.is_empty() {
-            continue;
-        }
-        let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
-        if !satisfiable_search(rule, &part, facts, 0, &mut binding) {
-            return false;
-        }
-    }
-    true
-}
-
-fn satisfiable_search(
-    rule: &Rule,
-    subset: &[usize],
-    facts: &FactStore,
-    depth: usize,
-    binding: &mut Vec<Option<Value>>,
-) -> bool {
-    let Some(&lit_idx) = subset.get(depth) else {
-        return true;
-    };
-    let lit = &rule.body[lit_idx];
-    let bound_col = lit.terms.iter().enumerate().find_map(|(col, t)| match t {
-        DTerm::Const(c) => Some((col, *c)),
-        DTerm::Var(v) => binding[*v as usize].map(|val| (col, val)),
-    });
-    'cand: for pos in facts.candidates(lit.pred, bound_col) {
-        let tuple = &facts.tuples(lit.pred)[pos];
-        let mut newly_bound: Vec<u32> = Vec::new();
-        for (t, v) in lit.terms.iter().zip(tuple.values()) {
-            match t {
-                DTerm::Const(c) => {
-                    if c != v {
-                        unbind(binding, &newly_bound);
-                        continue 'cand;
-                    }
-                }
-                DTerm::Var(var) => match &binding[*var as usize] {
-                    Some(bound) => {
-                        if bound != v {
-                            unbind(binding, &newly_bound);
-                            continue 'cand;
-                        }
-                    }
-                    None => {
-                        binding[*var as usize] = Some(*v);
-                        newly_bound.push(*var);
-                    }
-                },
-            }
-        }
-        if satisfiable_search(rule, subset, facts, depth + 1, binding) {
-            unbind(binding, &newly_bound);
-            return true;
-        }
-        unbind(binding, &newly_bound);
-    }
-    false
+    let goals: Vec<Goal<'_>> = subset.iter().map(|&i| goal(&rule.body[i], facts)).collect();
+    satisfiable(&goals, rule.var_names.len())
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -729,9 +443,9 @@ enum Source {
     Delta,
 }
 
-/// Enumerates all satisfactions of `rule`'s body and collects the resulting
-/// head tuples into `out`. `source_of(i)` selects which store body literal
-/// `i` ranges over.
+/// Enumerates all satisfactions of `rule`'s body in literal order and
+/// collects the resulting head tuples into `out`. `source_of(i)` selects
+/// which store body literal `i` ranges over.
 fn apply_rule(
     rule: &Rule,
     source_of: impl Fn(usize) -> Source,
@@ -741,203 +455,30 @@ fn apply_rule(
     out: &mut Vec<Tuple>,
     stats: &mut EvalStats,
 ) {
-    let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
-    search_body(
-        rule,
-        &source_of,
-        edb,
-        total,
-        delta,
-        0,
-        &mut binding,
-        out,
-        stats,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search_body(
-    rule: &Rule,
-    source_of: &impl Fn(usize) -> Source,
-    edb: &FactStore,
-    total: &FactStore,
-    delta: &FactStore,
-    depth: usize,
-    binding: &mut Vec<Option<Value>>,
-    out: &mut Vec<Tuple>,
-    stats: &mut EvalStats,
-) {
-    if depth == rule.body.len() {
-        stats.derivations += 1;
-        out.push(instantiate(&rule.head, binding));
-        return;
-    }
-    let lit = &rule.body[depth];
-    let store = match source_of(depth) {
-        Source::Edb => edb,
-        Source::Total => total,
-        Source::Delta => delta,
-    };
-
-    // Find a bound column to drive an index lookup, if any.
-    let bound_col = lit.terms.iter().enumerate().find_map(|(col, t)| match t {
-        DTerm::Const(c) => Some((col, *c)),
-        DTerm::Var(v) => binding[*v as usize].map(|val| (col, val)),
-    });
-
-    'cand: for pos in store.candidates(lit.pred, bound_col) {
-        let tuple = &store.tuples(lit.pred)[pos];
-        let mut newly_bound: Vec<u32> = Vec::new();
-        for (t, v) in lit.terms.iter().zip(tuple.values()) {
-            match t {
-                DTerm::Const(c) => {
-                    if c != v {
-                        unbind(binding, &newly_bound);
-                        continue 'cand;
-                    }
-                }
-                DTerm::Var(var) => match &binding[*var as usize] {
-                    Some(bound) => {
-                        if bound != v {
-                            unbind(binding, &newly_bound);
-                            continue 'cand;
-                        }
-                    }
-                    None => {
-                        binding[*var as usize] = Some(*v);
-                        newly_bound.push(*var);
-                    }
-                },
-            }
-        }
-        search_body(
-            rule,
-            source_of,
-            edb,
-            total,
-            delta,
-            depth + 1,
-            binding,
-            out,
-            stats,
-        );
-        unbind(binding, &newly_bound);
-    }
-}
-
-/// The delta-join body search: enumerates the literals in `order` (pivot
-/// first, as produced by [`pivot_order`]), each over the store chosen by
-/// `source_of(literal_index)`, and collects head instances into `out`.
-///
-/// Unlike [`search_body`], newly bound variables go onto a shared `trail`
-/// instead of a per-candidate vector: a failed or exhausted candidate
-/// unwinds the trail to its entry mark, so the inner loop performs no
-/// allocation per candidate. A completed call leaves `binding` all-unbound
-/// and `trail` empty, ready for the next pass.
-#[allow(clippy::too_many_arguments)]
-fn delta_search(
-    rule: &Rule,
-    order: &[usize],
-    source_of: &impl Fn(usize) -> Source,
-    edb: &FactStore,
-    total: &FactStore,
-    delta: &FactStore,
-    depth: usize,
-    binding: &mut Vec<Option<Value>>,
-    trail: &mut Vec<u32>,
-    out: &mut Vec<Tuple>,
-    stats: &mut EvalStats,
-) {
-    let Some(&lit_idx) = order.get(depth) else {
-        stats.derivations += 1;
-        out.push(instantiate(&rule.head, binding));
-        return;
-    };
-    let lit = &rule.body[lit_idx];
-    let store = match source_of(lit_idx) {
-        Source::Edb => edb,
-        Source::Total => total,
-        Source::Delta => delta,
-    };
-
-    // Find a bound column to drive an index probe, if any.
-    let bound_col = lit.terms.iter().enumerate().find_map(|(col, t)| match t {
-        DTerm::Const(c) => Some((col, *c)),
-        DTerm::Var(v) => binding[*v as usize].map(|val| (col, val)),
-    });
-
-    let mark = trail.len();
-    'cand: for pos in store.candidates(lit.pred, bound_col) {
-        let tuple = &store.tuples(lit.pred)[pos];
-        for (t, v) in lit.terms.iter().zip(tuple.values()) {
-            match t {
-                DTerm::Const(c) => {
-                    if c != v {
-                        unwind(binding, trail, mark);
-                        continue 'cand;
-                    }
-                }
-                DTerm::Var(var) => match &binding[*var as usize] {
-                    Some(bound) => {
-                        if bound != v {
-                            unwind(binding, trail, mark);
-                            continue 'cand;
-                        }
-                    }
-                    None => {
-                        binding[*var as usize] = Some(*v);
-                        trail.push(*var);
-                    }
-                },
-            }
-        }
-        delta_search(
-            rule,
-            order,
-            source_of,
-            edb,
-            total,
-            delta,
-            depth + 1,
-            binding,
-            trail,
-            out,
-            stats,
-        );
-        unwind(binding, trail, mark);
-    }
-}
-
-/// Unbinds every variable the trail recorded past `mark`, truncating the
-/// trail back to it.
-fn unwind(binding: &mut [Option<Value>], trail: &mut Vec<u32>, mark: usize) {
-    for v in trail.drain(mark..) {
-        binding[v as usize] = None;
-    }
-}
-
-fn unbind(binding: &mut [Option<Value>], vars: &[u32]) {
-    for v in vars {
-        binding[*v as usize] = None;
-    }
-}
-
-fn instantiate(head: &Literal, binding: &[Option<Value>]) -> Tuple {
-    head.terms
+    let goals: Vec<Goal<'_>> = rule
+        .body
         .iter()
-        .map(|t| match t {
-            DTerm::Const(c) => *c,
-            DTerm::Var(v) => {
-                binding[*v as usize].expect("range restriction guarantees head variables are bound")
-            }
+        .enumerate()
+        .map(|(i, lit)| {
+            let store = match source_of(i) {
+                Source::Edb => edb,
+                Source::Total => total,
+                Source::Delta => delta,
+            };
+            goal(lit, store)
         })
-        .collect()
+        .collect();
+    Search::new(rule.var_names.len()).run(&goals, &mut |binding| {
+        stats.derivations += 1;
+        out.push(instantiate(&rule.head.terms, binding));
+        true
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use toorjah_catalog::tuple;
+    use toorjah_catalog::{tuple, Value};
 
     fn v(i: u32) -> DTerm {
         DTerm::Var(i)

@@ -12,6 +12,9 @@
 //! * [`Program`], [`Rule`], [`Literal`], [`DTerm`]: positive Datalog ASTs
 //!   with interned predicates ([`PredId`]) and per-rule variable names;
 //! * [`FactStore`]: indexed fact storage;
+//! * [`Search`], [`head_instances`], [`satisfiable`]: the one backtracking
+//!   join kernel every local evaluation runs on — the evaluators below, the
+//!   engine's fast-failing executor and its conjunctive-query evaluator;
 //! * [`evaluate`]: bottom-up **semi-naive** least-fixpoint evaluation, used
 //!   as the reference semantics the fast-failing executor is tested against
 //!   (the paper guarantees both compute the same answer);
@@ -26,16 +29,18 @@ mod ast;
 mod error;
 mod eval;
 mod rewrite;
+mod search;
 mod store;
 
 pub use ast::{DTerm, Literal, PredId, Predicate, Program, Rule};
 pub use error::DatalogError;
 pub use eval::{
-    combine_projections, evaluate, evaluate_full_join, evaluate_with_obs, project_component,
-    rule_body_satisfiable, rule_head_instances, rule_head_instances_pinned, EvalStats,
+    evaluate, evaluate_full_join, evaluate_with_obs, rule_body_satisfiable, rule_head_instances,
+    rule_head_instances_pinned, EvalStats,
 };
 pub use rewrite::{
     adornment_string, evaluate_demand, evaluate_demand_with_obs, magic_rewrite, AdornedPred,
     MagicRewrite, RewriteError,
 };
-pub use store::{Candidates, FactStore};
+pub use search::{head_instances, satisfiable, Goal, Search};
+pub use store::{Candidates, Extent, FactStore};

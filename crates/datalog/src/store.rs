@@ -1,6 +1,15 @@
 //! Fact storage with eager single-column hash indexes over interned values.
+//!
+//! A store is what every local evaluation reads: the semi-naive evaluator's
+//! extents, the executor's caches, the engine's per-atom extensions. The
+//! search kernel ([`crate::Search`]) resolves each literal's [`Extent`] once
+//! and then probes its column indexes through borrowed posting lists, so
+//! neither a probe nor a fold allocates per value: a column value held by a
+//! single tuple — most of them, on the paper's instances — keeps its one
+//! position inline in the index entry, and only a value shared by several
+//! tuples owns a position list.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use toorjah_catalog::{FastMap, FastSet, IVal, Tuple, Value};
 
@@ -24,7 +33,31 @@ struct PredFacts {
     /// `indexes[col]` maps a column value to the positions of tuples
     /// carrying it at `col`, in insertion order. Empty in an
     /// [unindexed](FactStore::unindexed) store.
-    indexes: Vec<FastMap<IVal, Vec<u32>>>,
+    indexes: Vec<FastMap<IVal, Postings>>,
+}
+
+/// One index entry's posting list. A single position stays inline; the
+/// list is allocated only when a second tuple shares the value.
+#[derive(Clone, Debug)]
+enum Postings {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Postings {
+    fn push(&mut self, pos: u32) {
+        match self {
+            Postings::One(first) => *self = Postings::Many(vec![*first, pos]),
+            Postings::Many(list) => list.push(pos),
+        }
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Postings::One(pos) => std::slice::from_ref(pos),
+            Postings::Many(list) => list,
+        }
+    }
 }
 
 impl PredFacts {
@@ -38,19 +71,73 @@ impl PredFacts {
                 self.indexes = vec![FastMap::default(); t.len()];
             }
             for (index, &v) in self.indexes.iter_mut().zip(t.values()) {
-                index.entry(IVal::from(v)).or_default().push(pos);
+                match index.entry(IVal::from(v)) {
+                    Entry::Occupied(mut postings) => postings.get_mut().push(pos),
+                    Entry::Vacant(vacant) => {
+                        vacant.insert(Postings::One(pos));
+                    }
+                }
             }
         }
         self.tuples.push(t);
         true
     }
 
+    fn extent(&self) -> Extent<'_> {
+        Extent {
+            tuples: &self.tuples,
+            indexes: &self.indexes,
+        }
+    }
+}
+
+/// One predicate's facts as a search reads them: the tuples, in insertion
+/// order, and (in an indexed store) one index per column. Resolving a
+/// literal's extent once — [`FactStore::extent`] — takes the predicate
+/// lookup out of the search's inner loop.
+#[derive(Clone, Copy, Debug)]
+pub struct Extent<'a> {
+    tuples: &'a [Tuple],
+    indexes: &'a [FastMap<IVal, Postings>],
+}
+
+impl<'a> Extent<'a> {
+    /// The facts, in insertion order.
+    pub fn tuples(&self) -> &'a [Tuple] {
+        self.tuples
+    }
+
+    /// Number of facts.
+    pub fn len(&self) -> usize {
+        self.tuples.len()
+    }
+
+    /// Whether there is no fact.
+    pub fn is_empty(&self) -> bool {
+        self.tuples.is_empty()
+    }
+
+    /// Candidate positions (into [`Extent::tuples`]): the posting list of
+    /// `value` at `col` when a bound column is given and the extent is
+    /// indexed, every position otherwise — a superset in the same
+    /// (insertion) order, so a search that re-verifies each tuple visits the
+    /// same matches in the same sequence either way. Borrows the index: no
+    /// allocation per probe.
+    pub fn candidates(&self, bound: Option<(usize, Value)>) -> Candidates<'a> {
+        match bound {
+            Some((col, value)) if !self.indexes.is_empty() => {
+                Candidates::Indexed(self.positions(col, value).iter())
+            }
+            _ => Candidates::All(0..self.tuples.len()),
+        }
+    }
+
     /// The posting list for `value` at `col`, borrowed from the index.
-    fn positions(&self, col: usize, value: Value) -> &[u32] {
+    fn positions(&self, col: usize, value: Value) -> &'a [u32] {
         self.indexes
             .get(col)
             .and_then(|index| index.get(&IVal::from(value)))
-            .map_or(&[], Vec::as_slice)
+            .map_or(&[], Postings::as_slice)
     }
 }
 
@@ -92,7 +179,7 @@ impl ExactSizeIterator for Candidates<'_> {}
 /// evaluation traces and test expectations — deterministic.
 #[derive(Clone, Debug)]
 pub struct FactStore {
-    facts: HashMap<PredId, PredFacts>,
+    facts: FastMap<PredId, PredFacts>,
     /// Whether inserts maintain the per-column posting lists. An unindexed
     /// store skips them and answers probes by scanning; see
     /// [`FactStore::unindexed`].
@@ -102,7 +189,7 @@ pub struct FactStore {
 impl Default for FactStore {
     fn default() -> Self {
         FactStore {
-            facts: HashMap::new(),
+            facts: FastMap::default(),
             indexed: true,
         }
     }
@@ -126,7 +213,7 @@ impl FactStore {
     /// fact are pure overhead.
     pub fn unindexed() -> Self {
         FactStore {
-            facts: HashMap::new(),
+            facts: FastMap::default(),
             indexed: false,
         }
     }
@@ -173,22 +260,24 @@ impl FactStore {
             .is_some_and(|f| f.seen.contains(tuple))
     }
 
+    /// The facts of `pred` as a search reads them; empty when the predicate
+    /// has none.
+    pub fn extent(&self, pred: PredId) -> Extent<'_> {
+        self.facts.get(&pred).map_or(
+            Extent {
+                tuples: &[],
+                indexes: &[],
+            },
+            PredFacts::extent,
+        )
+    }
+
     /// Candidate positions (into [`FactStore::tuples`]) for a body literal:
-    /// the posting list of `value` at `col` when a bound column is known, the
-    /// full extent otherwise. Borrows the index — no allocation per probe.
-    ///
-    /// On an [unindexed](FactStore::unindexed) store a bound column yields
-    /// the full extent too: a superset of the posting list, in the same
-    /// (insertion) order, so search loops that re-verify each tuple visit
-    /// the same matches in the same sequence.
+    /// [`Extent::candidates`] of the predicate's extent. On an
+    /// [unindexed](FactStore::unindexed) store a bound column yields the
+    /// full extent.
     pub fn candidates(&self, pred: PredId, bound: Option<(usize, Value)>) -> Candidates<'_> {
-        match (bound, self.facts.get(&pred)) {
-            (Some((col, value)), Some(f)) if self.indexed => {
-                Candidates::Indexed(f.positions(col, value).iter())
-            }
-            (Some(_), None) => Candidates::Indexed([].iter()),
-            (_, f) => Candidates::All(0..f.map_or(0, |f| f.tuples.len())),
-        }
+        self.extent(pred).candidates(bound)
     }
 
     /// Positions of facts matching `value` at `col`, as an owned vector.
@@ -211,9 +300,7 @@ impl FactStore {
     /// membership probe behind the engine's runtime semi-join pruning.
     pub fn has_matching(&self, pred: PredId, col: usize, value: &Value) -> bool {
         if self.indexed {
-            self.facts
-                .get(&pred)
-                .is_some_and(|f| !f.positions(col, *value).is_empty())
+            !self.extent(pred).positions(col, *value).is_empty()
         } else {
             self.tuples(pred)
                 .iter()

@@ -1,12 +1,13 @@
 //! Property-based tests of the Datalog evaluator: the semi-naive engine is
 //! compared against a naive reference (repeated whole-rule application until
-//! fixpoint), and monotonicity of the least fixpoint is checked.
+//! fixpoint), monotonicity of the least fixpoint is checked, and the search
+//! kernel's single-rule evaluation is compared against plain nested loops.
 
 use proptest::prelude::*;
 use toorjah_catalog::{Tuple, Value};
 use toorjah_datalog::{
-    evaluate, evaluate_demand, evaluate_full_join, rule_head_instances, DTerm, FactStore, Literal,
-    PredId, Program, Rule,
+    evaluate, evaluate_demand, evaluate_full_join, rule_body_satisfiable, rule_head_instances,
+    DTerm, FactStore, Literal, PredId, Program, Rule,
 };
 
 /// Naive reference evaluator: apply every rule to (EDB ∪ IDB) until nothing
@@ -202,6 +203,195 @@ proptest! {
                 });
                 prop_assert!(supported, "unsupported fact {} on seed {}", fact, seed);
             }
+        }
+    }
+}
+
+/// A random rule over p0/1, p1/2, p2/2 and p3/3 with up to four body
+/// literals drawing on five variables — so bodies have repeated variables,
+/// constants, ground literals and several variable-connected components —
+/// and a head over some of the body's variables (none: a boolean head),
+/// possibly repeating one and adding a constant. Facts over the domain
+/// 0..4 leave some predicates empty.
+fn random_rule_and_facts(seed: u64) -> (Rule, FactStore) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x4B45_524E);
+    let arities = [1usize, 2, 2, 3];
+    let body_len = rng.gen_range(1..=4);
+    let body: Vec<Literal> = (0..body_len)
+        .map(|_| {
+            let p = rng.gen_range(0..arities.len());
+            let terms = (0..arities[p])
+                .map(|_| {
+                    if rng.gen_bool(0.2) {
+                        DTerm::Const(Value::from(rng.gen_range(0..4i64)))
+                    } else {
+                        DTerm::Var(rng.gen_range(0..5u32))
+                    }
+                })
+                .collect();
+            Literal::new(PredId(p as u32), terms)
+        })
+        .collect();
+    let mut body_vars: Vec<u32> = body
+        .iter()
+        .flat_map(|l| l.terms.iter().filter_map(DTerm::as_var))
+        .collect();
+    body_vars.sort_unstable();
+    body_vars.dedup();
+    let mut head: Vec<DTerm> = body_vars
+        .iter()
+        .filter(|_| rng.gen_bool(0.5))
+        .map(|&v| DTerm::Var(v))
+        .collect();
+    if !head.is_empty() && rng.gen_bool(0.2) {
+        let again = head[rng.gen_range(0..head.len())].clone();
+        head.push(again);
+    }
+    if rng.gen_bool(0.2) {
+        head.insert(0, DTerm::Const(Value::from(9)));
+    }
+    let rule = Rule::new(
+        Literal::new(PredId(9), head),
+        body,
+        (0..5).map(|i| format!("X{i}")).collect(),
+    );
+    let mut facts = FactStore::new();
+    for (p, &arity) in arities.iter().enumerate() {
+        if rng.gen_bool(0.15) {
+            continue;
+        }
+        for _ in 0..rng.gen_range(0..9) {
+            let t: Tuple = (0..arity)
+                .map(|_| Value::from(rng.gen_range(0..4i64)))
+                .collect();
+            facts.insert(PredId(p as u32), t);
+        }
+    }
+    (rule, facts)
+}
+
+/// The rule body's variable-connected components, as ascending literal
+/// indexes, ordered by first index.
+fn body_components(rule: &Rule) -> Vec<Vec<usize>> {
+    let n = rule.body.len();
+    let mut component: Vec<usize> = (0..n).collect();
+    loop {
+        let mut changed = false;
+        for i in 0..n {
+            for j in 0..n {
+                let shared = rule.body[i]
+                    .terms
+                    .iter()
+                    .filter_map(DTerm::as_var)
+                    .any(|v| rule.body[j].terms.contains(&DTerm::Var(v)));
+                if shared && component[j] < component[i] {
+                    component[i] = component[j];
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    for i in 0..n {
+        match out.iter_mut().find(|c| component[c[0]] == component[i]) {
+            Some(c) => c.push(i),
+            None => out.push(vec![i]),
+        }
+    }
+    out
+}
+
+/// Plain nested loops over the literals in `nest`, each scanning its whole
+/// extent in insertion order; calls `emit` per satisfying assignment.
+fn nested_loops(
+    rule: &Rule,
+    facts: &FactStore,
+    nest: &[usize],
+    binding: &mut Vec<Option<Value>>,
+    emit: &mut dyn FnMut(&[Option<Value>]),
+) {
+    let Some((&i, rest)) = nest.split_first() else {
+        emit(binding);
+        return;
+    };
+    let lit = &rule.body[i];
+    for t in facts.tuples(lit.pred) {
+        let saved = binding.clone();
+        let fits = lit
+            .terms
+            .iter()
+            .zip(t.values())
+            .all(|(term, v)| match term {
+                DTerm::Const(c) => c == v,
+                DTerm::Var(x) => match binding[*x as usize] {
+                    Some(b) => b == *v,
+                    None => {
+                        binding[*x as usize] = Some(*v);
+                        true
+                    }
+                },
+            });
+        if fits {
+            nested_loops(rule, facts, rest, binding, emit);
+        }
+        *binding = saved;
+    }
+}
+
+/// The reference head-instance sequence: nested loops in body order, with
+/// first-encounter deduplication of head tuples. The loops are grouped by
+/// component, the last component outermost, so the sequence follows the
+/// documented answer order (the first component varies fastest); within a
+/// component the literals keep body order.
+fn reference_head_instances(rule: &Rule, facts: &FactStore) -> Vec<Tuple> {
+    let nest: Vec<usize> = body_components(rule).into_iter().rev().flatten().collect();
+    let mut out: Vec<Tuple> = Vec::new();
+    let mut binding = vec![None; rule.var_names.len()];
+    nested_loops(rule, facts, &nest, &mut binding, &mut |b| {
+        let head: Tuple = rule
+            .head
+            .terms
+            .iter()
+            .map(|t| match t {
+                DTerm::Const(c) => *c,
+                DTerm::Var(v) => b[*v as usize].expect("head variables are bound"),
+            })
+            .collect();
+        if !out.contains(&head) {
+            out.push(head);
+        }
+    });
+    out
+}
+
+proptest! {
+    /// The search kernel against plain nested loops: the same head
+    /// instances in the same order, and the same satisfiability verdict
+    /// for every subset of the body.
+    #[test]
+    fn kernel_matches_nested_loop_reference(seed in 0u64..50_000) {
+        let (rule, facts) = random_rule_and_facts(seed);
+        prop_assert_eq!(
+            rule_head_instances(&rule, &facts),
+            reference_head_instances(&rule, &facts),
+            "head instances differ on seed {}", seed
+        );
+        let n = rule.body.len();
+        for mask in 0u32..(1 << n) {
+            let subset: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
+            let mut witnessed = false;
+            let mut binding = vec![None; rule.var_names.len()];
+            nested_loops(&rule, &facts, &subset, &mut binding, &mut |_| witnessed = true);
+            prop_assert_eq!(
+                rule_body_satisfiable(&rule, &subset, &facts),
+                witnessed,
+                "satisfiability of {:?} differs on seed {}", subset, seed
+            );
         }
     }
 }

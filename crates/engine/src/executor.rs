@@ -38,10 +38,8 @@
 //! [`toorjah_datalog::evaluate`], and `tests/proptests.rs` checks the
 //! pruned path against the naive oracle.
 
-use std::collections::{HashMap, HashSet};
-
 use toorjah_cache::SharedAccessCache;
-use toorjah_catalog::{AccessKey, RelationId, Tuple, Value};
+use toorjah_catalog::{AccessKey, FastMap, FastSet, RelationId, Tuple, Value};
 use toorjah_core::{DomainMode, QueryPlan};
 use toorjah_datalog::{rule_body_satisfiable, rule_head_instances, FactStore, Rule};
 use toorjah_obs::{EventKind, Obs};
@@ -362,7 +360,7 @@ pub fn execute_plan_cached(
                 // answers are `k` certain answers — stop pumping.
                 if changed {
                     if let Some(k) = options.first_k {
-                        let current = distinct_head_instances(&answer_rule, &facts);
+                        let current = rule_head_instances(&answer_rule, &facts);
                         if current.len() >= k {
                             let mut current = current;
                             current.truncate(k);
@@ -390,7 +388,7 @@ pub fn execute_plan_cached(
     } else if let Some(early) = early_answers {
         early
     } else {
-        let mut answers = distinct_head_instances(&answer_rule, &facts);
+        let mut answers = rule_head_instances(&answer_rule, &facts);
         if let Some(k) = options.first_k {
             answers.truncate(k);
         }
@@ -412,16 +410,6 @@ pub fn execute_plan_cached(
         dispatch: dispatch_report,
         terminated_early,
     })
-}
-
-/// The distinct head instances of the answer rule over the current caches,
-/// in production order.
-fn distinct_head_instances(answer_rule: &Rule, facts: &FactStore) -> Vec<Tuple> {
-    let mut seen: HashSet<Tuple> = HashSet::new();
-    rule_head_instances(answer_rule, facts)
-        .into_iter()
-        .filter(|t| seen.insert(t.clone()))
-        .collect()
 }
 
 /// The §IV early test: the conjunction of the answer-rule literals whose
@@ -454,7 +442,7 @@ fn subquery_satisfiable(
 struct PoolFrontier {
     values: Vec<Value>,
     old: usize,
-    seen: HashSet<Value>,
+    seen: FastSet<Value>,
     delta: DomainDelta,
 }
 
@@ -468,18 +456,18 @@ struct DomainDelta {
     /// Per provider: tuples of its cache already scanned.
     consumed: Vec<usize>,
     /// Join mode, per provider: values present in its scanned projection.
-    present: Vec<HashSet<Value>>,
+    present: Vec<FastSet<Value>>,
     /// Join mode: first-encounter rank of each value in provider 0's
     /// projection — the order the full pool recomputation would emit
     /// values in, which newly completed values are sorted by.
-    first_rank: HashMap<Value, usize>,
+    first_rank: FastMap<Value, usize>,
 }
 
 impl DomainDelta {
     fn ensure_providers(&mut self, n: usize) {
         if self.consumed.len() < n {
             self.consumed.resize(n, 0);
-            self.present.resize_with(n, HashSet::new);
+            self.present.resize_with(n, FastSet::default);
         }
     }
 }
@@ -545,7 +533,7 @@ fn stage_new_values(
     let mut ranked: Vec<Value> = Vec::new();
     match dp.mode {
         DomainMode::Union => {
-            let mut fresh: HashSet<Value> = HashSet::new();
+            let mut fresh: FastSet<Value> = FastSet::default();
             for (j, p) in dp.providers.iter().enumerate() {
                 let tuples = facts.tuples(plan.caches[p.cache].cache_pred);
                 scanned.push(tuples.len());
@@ -559,14 +547,14 @@ fn stage_new_values(
         }
         DomainMode::Join => {
             let mut touched: Vec<Value> = Vec::new();
-            let mut touched_set: HashSet<Value> = HashSet::new();
-            let mut staged_rank: HashMap<Value, usize> = HashMap::new();
-            let mut mem_sets: Vec<HashSet<Value>> = Vec::with_capacity(dp.providers.len());
+            let mut touched_set: FastSet<Value> = FastSet::default();
+            let mut staged_rank: FastMap<Value, usize> = FastMap::default();
+            let mut mem_sets: Vec<FastSet<Value>> = Vec::with_capacity(dp.providers.len());
             for (j, p) in dp.providers.iter().enumerate() {
                 let tuples = facts.tuples(plan.caches[p.cache].cache_pred);
                 scanned.push(tuples.len());
                 let mut mem: Vec<Value> = Vec::new();
-                let mut mem_set: HashSet<Value> = HashSet::new();
+                let mut mem_set: FastSet<Value> = FastSet::default();
                 for t in &tuples[delta.consumed[j]..] {
                     let v = t[p.column];
                     if !delta.present[j].contains(&v) && mem_set.insert(v) {

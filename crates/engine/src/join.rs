@@ -2,16 +2,18 @@
 //!
 //! Both the naive algorithm ("evaluate the query over the cache", Fig. 1)
 //! and the fast-failing executor (early non-emptiness checks, final answer
-//! computation) evaluate a CQ against per-atom tuple collections. The
-//! evaluator is an index-assisted backtracking join: atoms are reordered
-//! greedily so joins stay bound, and per-column hash indexes over the
-//! compact interned representation are built once per call, so the
-//! recursive search probes borrowed posting lists without allocating.
+//! computation) evaluate a CQ against per-atom tuple collections. Both run
+//! on the Datalog crate's search kernel ([`toorjah_datalog::Search`]): the
+//! executor over its caches directly, this module over the atoms'
+//! extensions loaded into an indexed [`FactStore`] (one predicate per atom)
+//! once per call. Enumeration takes the atoms in a greedy order — bound
+//! atoms first, smaller extensions breaking ties — so joins stay bound; the
+//! satisfiability check uses the kernel's own bound-first order. Answers
+//! are distinct by construction (see [`toorjah_datalog::head_instances`]),
+//! so no final deduplication pass runs.
 
-use std::collections::{HashMap, HashSet};
-
-use toorjah_catalog::{FastMap, IVal, Tuple, Value};
-use toorjah_datalog::{combine_projections, project_component, Candidates};
+use toorjah_catalog::{FastSet, Tuple, Value};
+use toorjah_datalog::{head_instances, satisfiable, DTerm, FactStore, Goal, PredId, Search};
 use toorjah_query::{ConjunctiveQuery, Term};
 
 /// Evaluates `query` over per-atom extensions, returning the distinct
@@ -28,94 +30,11 @@ pub fn evaluate_cq(
     query: &ConjunctiveQuery,
     tuples_for_atom: &dyn Fn(usize) -> Vec<Tuple>,
 ) -> Vec<Tuple> {
-    let components = atom_components(query);
-    let head_vars: HashSet<u32> = query.head().iter().map(|v| v.0).collect();
-
-    let mut head_components: Vec<&AtomComponent> = Vec::new();
-    for component in &components {
-        if component.vars.is_disjoint(&head_vars) {
-            if !cq_satisfiable(query, &component.atoms, tuples_for_atom) {
-                return Vec::new();
-            }
-        } else {
-            head_components.push(component);
-        }
-    }
-
-    // Per-component projections onto the head variables it binds, combined
-    // into head tuples by the shared helpers (one implementation for this
-    // evaluator and the Datalog rule evaluator).
-    let mut projections: Vec<Vec<Vec<(u32, Value)>>> = Vec::new();
-    for component in &head_components {
-        let relevant: Vec<u32> = component.vars.intersection(&head_vars).copied().collect();
-        let rows = project_component(&relevant, |on_row| {
-            enumerate(query, &component.atoms, tuples_for_atom, on_row);
-        });
-        if rows.is_empty() {
-            return Vec::new();
-        }
-        projections.push(rows);
-    }
-
-    let mut answers: Vec<Tuple> = Vec::new();
-    let mut seen: HashSet<Tuple> = HashSet::new();
-    combine_projections(query.var_count(), &projections, |assignment| {
-        let answer: Tuple = query
-            .head()
-            .iter()
-            .map(|v| assignment[v.index()].expect("safety guarantees head variables are bound"))
-            .collect();
-        if seen.insert(answer.clone()) {
-            answers.push(answer);
-        }
-    });
-    answers
-}
-
-/// A variable-connected group of body atoms.
-struct AtomComponent {
-    atoms: Vec<usize>,
-    vars: HashSet<u32>,
-}
-
-/// Splits a query body into variable-connected components.
-fn atom_components(query: &ConjunctiveQuery) -> Vec<AtomComponent> {
-    let n = query.atoms().len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
-    }
-    let mut owner: HashMap<u32, usize> = HashMap::new();
-    for (i, atom) in query.atoms().iter().enumerate() {
-        for v in atom.variables() {
-            match owner.get(&v.0) {
-                Some(&j) => {
-                    let (a, b) = (find(&mut parent, i), find(&mut parent, j));
-                    parent[a] = b;
-                }
-                None => {
-                    owner.insert(v.0, i);
-                }
-            }
-        }
-    }
-    let mut components: HashMap<usize, AtomComponent> = HashMap::new();
-    for i in 0..n {
-        let root = find(&mut parent, i);
-        let entry = components.entry(root).or_insert_with(|| AtomComponent {
-            atoms: Vec::new(),
-            vars: HashSet::new(),
-        });
-        entry.atoms.push(i);
-        entry.vars.extend(query.atoms()[i].variables().map(|v| v.0));
-    }
-    let mut out: Vec<AtomComponent> = components.into_values().collect();
-    out.sort_by_key(|c| c.atoms[0]);
-    out
+    let atoms: Vec<usize> = (0..query.atoms().len()).collect();
+    let body = Body::load(query, &atoms, tuples_for_atom);
+    let goals = body.goals();
+    let head: Vec<DTerm> = query.head().iter().map(|v| DTerm::Var(v.0)).collect();
+    head_instances(&head, &goals, &greedy_order(&goals), query.var_count())
 }
 
 /// Evaluates the restriction of `query` to the body atoms in `atoms` and
@@ -127,9 +46,12 @@ pub fn evaluate_cq_subset(
     atoms: &[usize],
     tuples_for_atom: &dyn Fn(usize) -> Vec<Tuple>,
 ) -> Vec<Vec<Option<Value>>> {
+    let body = Body::load(query, atoms, tuples_for_atom);
+    let goals = body.goals();
+    let ordered: Vec<Goal<'_>> = greedy_order(&goals).iter().map(|&i| goals[i]).collect();
     let mut out = Vec::new();
-    let mut seen: HashSet<Vec<Option<Value>>> = HashSet::new();
-    enumerate(query, atoms, tuples_for_atom, &mut |binding| {
+    let mut seen: FastSet<Vec<Option<Value>>> = FastSet::default();
+    Search::new(query.var_count()).run(&ordered, &mut |binding| {
         if seen.insert(binding.to_vec()) {
             out.push(binding.to_vec());
         }
@@ -148,210 +70,95 @@ pub fn cq_satisfiable(
     atoms: &[usize],
     tuples_for_atom: &dyn Fn(usize) -> Vec<Tuple>,
 ) -> bool {
-    if atoms.is_empty() {
-        return true;
-    }
-    let selected: HashSet<usize> = atoms.iter().copied().collect();
-    for component in atom_components(query) {
-        let part: Vec<usize> = component
-            .atoms
-            .iter()
-            .copied()
-            .filter(|i| selected.contains(i))
-            .collect();
-        if part.is_empty() {
-            continue;
-        }
-        let mut found = false;
-        enumerate(query, &part, tuples_for_atom, &mut |_| {
-            found = true;
-            false // stop at the first satisfying assignment
-        });
-        if !found {
-            return false;
-        }
-    }
-    true
+    let body = Body::load(query, atoms, tuples_for_atom);
+    satisfiable(&body.goals(), query.var_count())
 }
 
-/// Backtracking enumeration of all satisfying assignments; `on_match`
-/// returns `false` to stop early.
-fn enumerate(
-    query: &ConjunctiveQuery,
-    atoms: &[usize],
-    tuples_for_atom: &dyn Fn(usize) -> Vec<Tuple>,
-    on_match: &mut dyn FnMut(&[Option<Value>]) -> bool,
-) {
-    if atoms.is_empty() {
-        let binding = vec![None; query.var_count()];
-        on_match(&binding);
-        return;
-    }
-
-    // Materialize extensions once per call.
-    let extensions: HashMap<usize, Vec<Tuple>> =
-        atoms.iter().map(|&i| (i, tuples_for_atom(i))).collect();
-
-    // Greedy ordering: most-constrained atom first (constants, small
-    // extensions), then atoms sharing variables with the bound set.
-    let order = plan_order(query, atoms, &extensions);
-
-    // Index every column of every extension eagerly (one pass over the
-    // materialized tuples, keyed by the compact `IVal`), so the recursive
-    // search probes through shared borrows and never clones a posting list.
-    let indexes: HashMap<usize, Vec<ColumnIndex>> = extensions
-        .iter()
-        .map(|(&i, tuples)| {
-            let arity = query.atoms()[i].terms().len();
-            let mut per_col: Vec<ColumnIndex> = vec![FastMap::default(); arity];
-            for (pos, t) in tuples.iter().enumerate() {
-                for (index, &v) in per_col.iter_mut().zip(t.values()) {
-                    index.entry(IVal::from(v)).or_default().push(pos as u32);
-                }
-            }
-            (i, per_col)
-        })
-        .collect();
-
-    let mut binding: Vec<Option<Value>> = vec![None; query.var_count()];
-    search(
-        query,
-        &order,
-        &extensions,
-        &indexes,
-        0,
-        &mut binding,
-        on_match,
-    );
+/// Selected body atoms in the kernel's terms: each atom's terms as Datalog
+/// terms, and its extension indexed under the atom's own predicate id.
+struct Body {
+    terms: Vec<Vec<DTerm>>,
+    preds: Vec<PredId>,
+    store: FactStore,
 }
 
-/// One atom column's index: value → tuple positions, in extension order,
-/// hashed with the cheap interned-key hasher.
-type ColumnIndex = FastMap<IVal, Vec<u32>>;
-
-fn plan_order(
-    query: &ConjunctiveQuery,
-    atoms: &[usize],
-    extensions: &HashMap<usize, Vec<Tuple>>,
-) -> Vec<usize> {
-    let mut remaining: Vec<usize> = atoms.to_vec();
-    let mut order = Vec::with_capacity(atoms.len());
-    let mut bound_vars: HashSet<u32> = HashSet::new();
-    while !remaining.is_empty() {
-        let (pos, &best) = remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &i)| {
-                let atom = &query.atoms()[i];
-                let bound = atom
+impl Body {
+    fn load(
+        query: &ConjunctiveQuery,
+        atoms: &[usize],
+        tuples_for_atom: &dyn Fn(usize) -> Vec<Tuple>,
+    ) -> Self {
+        let mut store = FactStore::new();
+        let mut terms = Vec::with_capacity(atoms.len());
+        let mut preds = Vec::with_capacity(atoms.len());
+        for &i in atoms {
+            let pred = PredId(i as u32);
+            store.extend(pred, tuples_for_atom(i));
+            terms.push(
+                query.atoms()[i]
                     .terms()
                     .iter()
+                    .map(|t| match t {
+                        Term::Var(v) => DTerm::Var(v.0),
+                        Term::Const(c) => DTerm::Const(*c),
+                    })
+                    .collect(),
+            );
+            preds.push(pred);
+        }
+        Body {
+            terms,
+            preds,
+            store,
+        }
+    }
+
+    fn goals(&self) -> Vec<Goal<'_>> {
+        self.terms
+            .iter()
+            .zip(&self.preds)
+            .map(|(terms, &pred)| Goal {
+                terms,
+                extent: self.store.extent(pred),
+            })
+            .collect()
+    }
+}
+
+/// The enumeration order: repeatedly the remaining goal with the most
+/// bound terms (constants, or variables an earlier goal binds), smaller
+/// extensions and then lower indexes breaking ties.
+fn greedy_order(goals: &[Goal<'_>]) -> Vec<usize> {
+    let mut remaining: Vec<usize> = (0..goals.len()).collect();
+    let mut order = Vec::with_capacity(goals.len());
+    let mut bound_vars: Vec<u32> = Vec::new();
+    while !remaining.is_empty() {
+        let (pos, _) = remaining
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &i)| {
+                let bound = goals[i]
+                    .terms
+                    .iter()
                     .filter(|t| match t {
-                        Term::Const(_) => true,
-                        Term::Var(v) => bound_vars.contains(&v.0),
+                        DTerm::Const(_) => true,
+                        DTerm::Var(v) => bound_vars.contains(v),
                     })
                     .count();
-                let size = extensions.get(&i).map_or(0, Vec::len);
-                // Prefer bound atoms; tie-break toward small extensions and
-                // stable order.
-                (bound, usize::MAX - size, usize::MAX - i)
+                (bound, usize::MAX - goals[i].extent.len(), usize::MAX - i)
             })
             .expect("remaining is non-empty");
+        let best = remaining.remove(pos);
+        bound_vars.extend(goals[best].terms.iter().filter_map(DTerm::as_var));
         order.push(best);
-        for v in query.atoms()[best].variables() {
-            bound_vars.insert(v.0);
-        }
-        remaining.remove(pos);
     }
     order
-}
-
-fn search(
-    query: &ConjunctiveQuery,
-    order: &[usize],
-    extensions: &HashMap<usize, Vec<Tuple>>,
-    indexes: &HashMap<usize, Vec<ColumnIndex>>,
-    depth: usize,
-    binding: &mut Vec<Option<Value>>,
-    on_match: &mut dyn FnMut(&[Option<Value>]) -> bool,
-) -> bool {
-    let Some(&atom_idx) = order.get(depth) else {
-        return on_match(binding);
-    };
-    let atom = &query.atoms()[atom_idx];
-    let tuples = &extensions[&atom_idx];
-
-    // Pick a bound column to drive an index lookup.
-    let bound_col = atom
-        .terms()
-        .iter()
-        .enumerate()
-        .find_map(|(col, t)| match t {
-            Term::Const(c) => Some((col, *c)),
-            Term::Var(v) => binding[v.index()].map(|val| (col, val)),
-        });
-
-    let candidates = match bound_col {
-        Some((col, value)) => Candidates::Indexed(
-            indexes[&atom_idx][col]
-                .get(&IVal::from(value))
-                .map_or(&[][..], Vec::as_slice)
-                .iter(),
-        ),
-        None => Candidates::All(0..tuples.len()),
-    };
-
-    'cand: for pos in candidates {
-        let tuple = &tuples[pos];
-        let mut newly_bound: Vec<usize> = Vec::new();
-        for (term, value) in atom.terms().iter().zip(tuple.values()) {
-            match term {
-                Term::Const(c) => {
-                    if c != value {
-                        unbind(binding, &newly_bound);
-                        continue 'cand;
-                    }
-                }
-                Term::Var(v) => match &binding[v.index()] {
-                    Some(bound) => {
-                        if bound != value {
-                            unbind(binding, &newly_bound);
-                            continue 'cand;
-                        }
-                    }
-                    None => {
-                        binding[v.index()] = Some(*value);
-                        newly_bound.push(v.index());
-                    }
-                },
-            }
-        }
-        let keep_going = search(
-            query,
-            order,
-            extensions,
-            indexes,
-            depth + 1,
-            binding,
-            on_match,
-        );
-        unbind(binding, &newly_bound);
-        if !keep_going {
-            return false;
-        }
-    }
-    true
-}
-
-fn unbind(binding: &mut [Option<Value>], vars: &[usize]) {
-    for &v in vars {
-        binding[v] = None;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use toorjah_catalog::{tuple, Schema};
     use toorjah_query::parse_query;
 

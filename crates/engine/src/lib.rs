@@ -38,7 +38,8 @@
 //!   no access is ever repeated, and relations are accessed only after all
 //!   other rule conditions succeed;
 //! * [`evaluate_cq`] / [`cq_satisfiable`]: conjunctive-query evaluation over
-//!   extracted caches.
+//!   extracted caches, on the same search kernel as the executor
+//!   ([`toorjah_datalog::Search`]).
 
 #![warn(missing_docs)]
 

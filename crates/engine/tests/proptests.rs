@@ -10,20 +10,26 @@
 //! 3. **First-k soundness** — with `first_k = Some(k)`, the reported
 //!    answers are `min(k, |answers|)` of the real answers, at no higher
 //!    access cost.
+//! 4. **Join kernel** — [`evaluate_cq`] and [`cq_satisfiable`] agree with
+//!    plain nested loops over random bodies (constants, repeated
+//!    variables, disconnected components, boolean heads, empty relations),
+//!    and so do the answers of [`naive_evaluate`], which over free access
+//!    patterns extracts every relation whole.
 
 use proptest::prelude::*;
 use toorjah_cache::SharedAccessCache;
 use toorjah_core::{plan_query, CoreError};
 use toorjah_engine::{
-    execute_plan_cached, naive_evaluate, AccessLog, ExecOptions, InstanceSource, NaiveOptions,
-    PruningLevel,
+    cq_satisfiable, evaluate_cq, execute_plan_cached, naive_evaluate, AccessLog, ExecOptions,
+    InstanceSource, NaiveOptions, PruningLevel,
 };
 use toorjah_workload::random::seeded_rng;
 use toorjah_workload::{random_instance, random_query, random_schema, RandomParams};
 
 use std::collections::HashSet;
 
-use toorjah_catalog::Tuple;
+use toorjah_catalog::{Instance, Schema, Tuple, Value};
+use toorjah_query::{parse_query, ConjunctiveQuery, Term};
 
 fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
     v.sort();
@@ -236,4 +242,162 @@ fn fixed_seed_sweep() {
         usable > 60,
         "the generator should produce usable queries ({usable}/120)"
     );
+}
+
+/// A random query over free relations p0/1, p1/2, p2/2 and p3/3 with up to
+/// four atoms drawing on five variables and the constants 0..4, its head a
+/// random subset of the body's variables (possibly none), and a random
+/// instance over the same constants that leaves some relations empty.
+fn random_cq(seed: u64) -> (Schema, ConjunctiveQuery, InstanceSource) {
+    use rand::Rng;
+    let mut rng = seeded_rng(seed ^ 0x4A4F_494E);
+    let schema = Schema::parse("p0^o(D) p1^oo(D, D) p2^oo(D, D) p3^ooo(D, D, D)").unwrap();
+    let arities = [1usize, 2, 2, 3];
+    let mut vars: Vec<usize> = Vec::new();
+    let atoms: Vec<String> = (0..rng.gen_range(1..=4))
+        .map(|_| {
+            let p = rng.gen_range(0..arities.len());
+            let terms: Vec<String> = (0..arities[p])
+                .map(|_| {
+                    if rng.gen_bool(0.2) {
+                        rng.gen_range(0..4i64).to_string()
+                    } else {
+                        let v = rng.gen_range(0..5);
+                        vars.push(v);
+                        format!("X{v}")
+                    }
+                })
+                .collect();
+            format!("p{p}({})", terms.join(", "))
+        })
+        .collect();
+    vars.sort_unstable();
+    vars.dedup();
+    let head: Vec<String> = vars
+        .iter()
+        .filter(|_| rng.gen_bool(0.5))
+        .map(|v| format!("X{v}"))
+        .collect();
+    let text = format!("q({}) <- {}", head.join(", "), atoms.join(", "));
+    let query = parse_query(&text, &schema).unwrap_or_else(|e| panic!("{text}: {e}"));
+    let data: Vec<(&str, Vec<Tuple>)> = ["p0", "p1", "p2", "p3"]
+        .into_iter()
+        .zip(arities)
+        .map(|(name, arity)| {
+            let n = if rng.gen_bool(0.15) {
+                0
+            } else {
+                rng.gen_range(0..9)
+            };
+            let tuples = (0..n)
+                .map(|_| {
+                    (0..arity)
+                        .map(|_| Value::from(rng.gen_range(0..4i64)))
+                        .collect()
+                })
+                .collect();
+            (name, tuples)
+        })
+        .collect();
+    let instance = Instance::with_data(&schema, data).unwrap();
+    (schema.clone(), query, InstanceSource::new(schema, instance))
+}
+
+/// Plain nested loops over the atoms in `atoms`, in that order, each
+/// scanning its relation's whole extension; calls `emit` per satisfying
+/// assignment.
+fn nested_loops(
+    query: &ConjunctiveQuery,
+    extensions: &[Vec<Tuple>],
+    atoms: &[usize],
+    binding: &mut Vec<Option<Value>>,
+    emit: &mut dyn FnMut(&[Option<Value>]),
+) {
+    let Some((&i, rest)) = atoms.split_first() else {
+        emit(binding);
+        return;
+    };
+    for t in &extensions[i] {
+        let saved = binding.clone();
+        let fits = query.atoms()[i]
+            .terms()
+            .iter()
+            .zip(t.values())
+            .all(|(term, v)| match term {
+                Term::Const(c) => c == v,
+                Term::Var(x) => match binding[x.index()] {
+                    Some(b) => b == *v,
+                    None => {
+                        binding[x.index()] = Some(*v);
+                        true
+                    }
+                },
+            });
+        if fits {
+            nested_loops(query, extensions, rest, binding, emit);
+        }
+        *binding = saved;
+    }
+}
+
+fn check_join_kernel(seed: u64) {
+    let (schema, query, provider) = random_cq(seed);
+    let extensions: Vec<Vec<Tuple>> = query
+        .atoms()
+        .iter()
+        .map(|a| provider.instance().full_extension(a.relation()).to_vec())
+        .collect();
+    let all: Vec<usize> = (0..query.atoms().len()).collect();
+    let mut reference: HashSet<Tuple> = HashSet::new();
+    let mut binding = vec![None; query.var_count()];
+    nested_loops(&query, &extensions, &all, &mut binding, &mut |b| {
+        reference.insert(query.head().iter().map(|v| b[v.index()].unwrap()).collect());
+    });
+    let mut expected: Vec<Tuple> = reference.into_iter().collect();
+    expected.sort();
+
+    let answers = evaluate_cq(&query, &|i| extensions[i].clone());
+    let distinct: HashSet<&Tuple> = answers.iter().collect();
+    assert_eq!(
+        distinct.len(),
+        answers.len(),
+        "duplicate answers on seed {seed}"
+    );
+    assert_eq!(
+        sorted(answers),
+        expected,
+        "evaluate_cq differs on seed {seed}"
+    );
+
+    let naive = naive_evaluate(&query, &schema, &provider, NaiveOptions::default())
+        .expect("naive evaluation of free relations");
+    assert_eq!(
+        sorted(naive.answers),
+        expected,
+        "naive differs on seed {seed}"
+    );
+
+    for mask in 0u32..(1 << all.len()) {
+        let subset: Vec<usize> = all
+            .iter()
+            .copied()
+            .filter(|i| mask & (1 << i) != 0)
+            .collect();
+        let mut witnessed = false;
+        nested_loops(&query, &extensions, &subset, &mut binding, &mut |_| {
+            witnessed = true
+        });
+        assert_eq!(
+            cq_satisfiable(&query, &subset, &|i| extensions[i].clone()),
+            witnessed,
+            "satisfiability of {subset:?} differs on seed {seed}"
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    fn join_kernel_matches_nested_loops(seed in 0u64..1_000_000) {
+        check_join_kernel(seed);
+    }
 }

@@ -11,6 +11,11 @@
 //! only be met by a path that still computes the right answers with the
 //! right accesses.
 //!
+//! A third budget covers the warm path the daemon serves: a statement whose
+//! every access is a session-cache hit, where what is left is the
+//! executor's local evaluation — the fail-fast checks, the fold into the
+//! fact store and the final join — and the response around it.
+//!
 //! This is its own test binary because the allocator is process-global.
 //! The `unsafe` below is the one unavoidable `GlobalAlloc` impl; it
 //! delegates straight to `System` plus a relaxed counter.
@@ -21,12 +26,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use toorjah::cache::SharedAccessCache;
 use toorjah::engine::{naive_evaluate, InstanceSource, NaiveOptions};
-use toorjah::query::Statement;
+use toorjah::query::{parse_query, Statement};
 use toorjah::system::{ExecMode, Toorjah};
 use toorjah::workload::publications::{
     paper_queries, publication_instance, publication_schema, PublicationConfig,
 };
+use toorjah::workload::{music_instance, music_schema, MusicConfig};
 
 struct CountingAlloc;
 
@@ -51,8 +58,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// The counter is process-global: the two tests take turns so neither
-/// counts the other's allocations.
+/// The counter is process-global: the tests take turns so none counts
+/// another's allocations.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Large enough that per-access costs dominate the per-statement ones
@@ -147,13 +154,75 @@ fn q2_allocations_per_access_stay_within_budget() {
 }
 
 /// q3 makes fewer accesses and folds more of what they extract, so the
-/// executor's per-statement work weighs in. Measured 8.16 (15.2 before).
+/// executor's per-statement work weighs in. Measured 1.80 (8.16 before the
+/// fail-fast check searched bound literals first and stopped allocating
+/// per candidate, 15.2 before that).
 #[test]
 fn q3_allocations_per_access_stay_within_budget() {
     let per_access = allocations_per_access("q3");
     println!("q3: {per_access:.2} allocations per performed access");
     assert!(
-        per_access <= 9.0,
+        per_access <= 2.2,
         "q3: {per_access:.2} allocations per access"
+    );
+}
+
+/// The largest answer set of the daemon's music traffic, served warm:
+/// after one cold run fills the session cache, every access is a hit and
+/// an `execute` is local evaluation plus the response. Its allocations per
+/// answer must stay within a fixed bound. Measured 0.163, about 350 per
+/// run, most of them per statement rather than per answer (1.41 when the
+/// final join built a row vector and a hashed copy per answer).
+#[test]
+fn warm_execute_allocations_per_answer_stay_within_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let schema = music_schema();
+    let instance = music_instance(&schema, &MusicConfig::default());
+    let source = InstanceSource::new(schema.clone(), instance);
+    let text = "q(T, Al) <- r1('a1', N, Y), r2(T, Y, A2), r3(A3, Al)";
+    let naive = naive_evaluate(
+        &parse_query(text, &schema).expect("query parses"),
+        &schema,
+        &source,
+        NaiveOptions::default(),
+    )
+    .expect("naive evaluation");
+
+    let system = Toorjah::builder(source)
+        .cache(SharedAccessCache::unbounded())
+        .build();
+    let statement = Statement::parse(text, &schema).expect("statement parses");
+    let prepared = system.prepare(&statement).expect("statement plans");
+    prepared
+        .execute(ExecMode::Sequential)
+        .expect("the cold run executes");
+
+    const RUNS: usize = 20;
+    let mut answers = 0usize;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..RUNS {
+        let response = prepared
+            .execute(ExecMode::Sequential)
+            .expect("a warm run executes");
+        assert_eq!(
+            response.profile.accesses_performed, 0,
+            "every access is served by the session cache"
+        );
+        answers += response.answers.len();
+        if answers == response.answers.len() {
+            let mut got = response.answers.clone();
+            got.sort();
+            let mut expected = naive.answers.clone();
+            expected.sort();
+            assert_eq!(got, expected, "answers equal the naive evaluator's");
+        }
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(answers, RUNS * 2_160, "2,160 answers per run");
+    let per_answer = allocations as f64 / answers as f64;
+    println!("warm execute: {per_answer:.3} allocations per answer");
+    assert!(
+        per_answer <= 0.25,
+        "warm execute: {per_answer:.3} allocations per answer"
     );
 }

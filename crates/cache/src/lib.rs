@@ -46,7 +46,9 @@ mod snapshot;
 mod stats;
 
 pub use config::{CacheConfig, EvictionPolicy};
-pub use shard::{BatchLoader, BatchLookup, LoadResult, Lookup, LookupOutcome, SharedAccessCache};
+pub use shard::{
+    extraction, BatchLoader, BatchLookup, LoadResult, Lookup, LookupOutcome, SharedAccessCache,
+};
 pub use snapshot::{SnapshotError, SnapshotReport};
 pub use stats::{CacheStats, ShardCounters};
 

@@ -239,10 +239,10 @@ fn lock(state: &StdMutex<FlightState>) -> StdMutexGuard<'_, FlightState> {
     state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The extraction of a performed access. Accesses that return nothing —
-/// most of them, on selective sources — share one empty extraction instead
-/// of allocating one each.
-fn extraction(tuples: Vec<Tuple>) -> Arc<[Tuple]> {
+/// The extraction of a performed access, as caches and access logs keep
+/// it. Accesses that return nothing — most of them, on selective sources —
+/// share one empty extraction instead of allocating one each.
+pub fn extraction(tuples: Vec<Tuple>) -> Arc<[Tuple]> {
     static EMPTY: OnceLock<Arc<[Tuple]>> = OnceLock::new();
     if tuples.is_empty() {
         Arc::clone(EMPTY.get_or_init(|| Arc::from(Vec::new())))

@@ -37,7 +37,8 @@ pub fn complete_answer(
     for atom in query.atoms() {
         extensions.push(provider.full_scan(atom.relation())?);
     }
-    Some(evaluate_cq(query, &|atom_idx| extensions[atom_idx].clone()))
+    let extensions: Vec<&[Tuple]> = extensions.iter().map(Vec::as_slice).collect();
+    Some(evaluate_cq(query, &extensions))
 }
 
 /// Outcome of a completeness check on one instance.

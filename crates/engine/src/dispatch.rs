@@ -12,11 +12,16 @@
 //! [`dispatch_keys`], which chunks them into batches of
 //! [`DispatchOptions::batch_size`] and fans the batches out over
 //! [`DispatchOptions::parallelism`] scoped worker threads
-//! (`crossbeam::thread::scope`). Every load is routed through
-//! [`SharedAccessCache::get_or_load_batch`]'s single-flight path, so access
-//! deduplication, budget enforcement and cross-query sharing survive
-//! concurrency unchanged — no access is ever repeated, by any number of
-//! threads.
+//! (`crossbeam::thread::scope`).
+//!
+//! **Two tiers.** The [`AccessLog`] is the execution's meta-cache (§IV):
+//! it keeps every performed access with its extraction, so within one
+//! execution an access is checked with one probe and never made twice —
+//! by any number of threads, since the calling thread classifies the whole
+//! frontier before any batch leaves. A session [`SharedAccessCache`], when
+//! there is one, is only for sharing across executions and sessions: the
+//! accesses the log does not hold go through its single-flight
+//! [`BatchLoader`]; without one they go straight to the source.
 //!
 //! **Determinism.** Extraction results are folded into the [`AccessLog`] and
 //! returned to the caller in frontier order, whatever order the workers
@@ -26,14 +31,18 @@
 //! `tests/parallel.rs` asserts this invariance.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use toorjah_cache::{BatchLoader, BatchLookup, LoadResult, SharedAccessCache};
-use toorjah_catalog::{AccessKey, FastMap, RelationId, Tuple};
+use toorjah_cache::{
+    extraction, BatchLoader, BatchLookup, LoadResult, Lookup, LookupOutcome, SharedAccessCache,
+};
+use toorjah_catalog::{AccessKey, RelationId, Tuple};
 use toorjah_obs::{EventKind, Gauge, Histogram, Obs};
 
+use crate::access::Probe;
 use crate::{AccessLog, AccessResult, EngineError, SourceProvider};
 
 /// How a frontier of accesses is fanned out; threaded through
@@ -183,26 +192,41 @@ impl DispatchReport {
     }
 }
 
-/// Performs every kept access of `frontier` through the shared cache and
-/// returns the extractions aligned with the frontier — entries `kept`
-/// marks `false` (pruned by the kernel's relevance filter) extract nothing
-/// and never reach the cache. This is the dispatch stage of the evaluation
-/// kernel — evaluators reach it through `crate::kernel::Kernel::round`,
-/// which owns the per-round frontier accounting and the relevance filter.
+/// Performs every kept access of `frontier` that this execution has not
+/// made yet and returns the extractions aligned with the frontier. This is
+/// the dispatch stage of the evaluation kernel — evaluators reach it
+/// through `crate::kernel::Kernel::round`, which owns the per-round
+/// frontier accounting and the relevance filter.
 ///
-/// Keys are borrowed from the frontier throughout; the log stores the one
-/// copy of each performed access. Duplicate keys are loaded once; later
-/// occurrences share the extraction and are logged as cache-served, exactly
-/// as under one-at-a-time dispatch. The budget is enforced with a shared
-/// reservation counter seeded from `log.total()`, so no more than
-/// `max_accesses` distinct accesses are ever performed regardless of thread
-/// interleaving; accesses the log already contains (re-performed after an
-/// eviction) stay exempt, mirroring the sequential path. On failure, every
-/// access that *did* reach the source is still folded into the log before
-/// the error is returned — the log reports reality.
+/// One pass over the frontier settles each entry with one probe of the
+/// log, the execution's meta-cache:
+///
+/// 1. an entry `kept` marks `false` (pruned) gets an empty extraction and
+///    is never looked up;
+/// 2. an access the log holds is served from it, as cache-served (a
+///    session cache counts it as a hit, as it would have served it);
+/// 3. a repeat of an access reserved earlier in the frontier is served, as
+///    cache-served, once that access lands;
+/// 4. any other access is reserved in the log and joins the current batch.
+///
+/// Batches are cut from the frontier's distinct requests in request order,
+/// [`DispatchOptions::batch_size`] at a time; a batch's one source round
+/// trip carries the accesses the log does not hold, and a batch the log
+/// serves entirely makes none. Without a session cache a batch goes
+/// straight to [`SourceProvider::access_batch`]; with one it goes through
+/// the cache's single-flight [`BatchLoader`], so other executions and
+/// sessions share its accesses. With [`DispatchOptions::parallelism`] above
+/// one, the batches — every one classified by the calling thread — are
+/// fanned out over scoped worker threads.
+///
+/// The budget is enforced with a shared reservation counter seeded from
+/// `log.total()`, so no more than `max_accesses` distinct accesses are ever
+/// performed regardless of thread interleaving. On failure, every access
+/// that *did* reach the source is still recorded in the log before the
+/// error is returned — the log reports reality.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch_keys(
-    cache: &SharedAccessCache,
+    cache: Option<&SharedAccessCache>,
     provider: &dyn SourceProvider,
     log: &mut AccessLog,
     frontier: &[AccessKey],
@@ -214,69 +238,89 @@ pub(crate) fn dispatch_keys(
     round: u32,
 ) -> Result<Vec<Arc<[Tuple]>>, EngineError> {
     let (parallelism, batch_size) = options.effective();
+    log.open_frontier(frontier.len());
+    let base = log.total();
 
-    // Deduplicate the kept entries, first occurrence first: `slots[f]` is
-    // frontier entry `f`'s index into `unique`, or `PRUNED`.
-    let mut unique: Vec<&AccessKey> = Vec::with_capacity(frontier.len());
-    let mut slots: Vec<u32> = Vec::with_capacity(frontier.len());
-    {
-        let mut slot_of: FastMap<&AccessKey, u32> =
-            FastMap::with_capacity_and_hasher(frontier.len(), Default::default());
-        for (f, key) in frontier.iter().enumerate() {
-            if kept.is_some_and(|kept| !kept[f]) {
-                slots.push(PRUNED);
-                continue;
+    // `later`: (frontier entry, log position) of every entry served once a
+    // reserved access lands. `batches`: the reservations of each batch that
+    // has any, as a range of reservation indexes.
+    let mut extractions: Vec<Arc<[Tuple]>> = Vec::with_capacity(frontier.len());
+    let mut later: Vec<(usize, usize)> = Vec::new();
+    let mut batches: Vec<Range<usize>> = Vec::new();
+    let mut open_batch = usize::MAX;
+    let mut distinct = 0usize;
+    for (f, key) in frontier.iter().enumerate() {
+        if kept.is_some_and(|kept| !kept[f]) {
+            extractions.push(log.nothing());
+            continue;
+        }
+        let (pos, first) = match log.probe_or_reserve(key) {
+            Probe::Logged { pos, first } => {
+                extractions.push(Arc::clone(log.extraction_at(pos)));
+                if let Some(cache) = cache.filter(|_| first) {
+                    // The session cache still sees the request: its
+                    // counters account for every distinct request of a
+                    // frontier, and the entry stays recently used.
+                    cache.try_get(key.0, &key.1);
+                }
+                (None, first)
             }
-            slots.push(*slot_of.entry(key).or_insert_with(|| {
-                unique.push(key);
-                u32::try_from(unique.len() - 1)
-                    .ok()
-                    .filter(|&slot| slot != PRUNED)
-                    .expect("frontiers hold fewer than 2^32 - 1 accesses")
-            }));
+            Probe::Reserved { pos, new } => {
+                later.push((f, pos));
+                extractions.push(log.nothing());
+                (new.then_some(pos - base), new)
+            }
+        };
+        if !first {
+            continue;
+        }
+        let batch = distinct / batch_size;
+        distinct += 1;
+        obs.trace(round, || EventKind::AccessDispatched {
+            key: key.clone(),
+            batch,
+        });
+        if let Some(at) = pos {
+            if batch == open_batch {
+                batches.last_mut().expect("the open batch").end = at + 1;
+            } else {
+                open_batch = batch;
+                batches.push(at..at + 1);
+            }
         }
     }
-    if unique.is_empty() {
-        let empty: Arc<[Tuple]> = Vec::new().into();
-        return Ok(slots.iter().map(|_| Arc::clone(&empty)).collect());
-    }
-
-    report.batches += unique.len().div_ceil(batch_size);
+    report.batches += distinct.div_ceil(batch_size);
     if let Some(h) = obs.histogram("dispatch.batch_size") {
-        for chunk in unique.chunks(batch_size) {
-            h.record(chunk.len() as u64);
-        }
-    }
-    if obs.is_tracing() {
-        for (u, key) in unique.iter().enumerate() {
-            obs.trace(round, || EventKind::AccessDispatched {
-                key: (*key).clone(),
-                batch: u / batch_size,
-            });
+        for b in 0..distinct.div_ceil(batch_size) {
+            h.record((distinct - b * batch_size).min(batch_size) as u64);
         }
     }
 
-    let trips = RoundTrips {
-        provider,
-        log,
-        performed: AtomicUsize::new(log.total()),
-        budget_binds: log.total().saturating_add(unique.len()) > max_accesses,
-        max_accesses,
-        queue_wait: obs.gauge("dispatch.queue_wait_us"),
-        dispatch_start: obs.is_enabled().then(Instant::now),
-    };
-    let mut outcomes = Outcomes {
-        served: unique.iter().map(|_| None).collect(),
+    let (keys, slots) = log.reserved();
+    let mut landing = Landing {
+        landed: vec![Landed::Waiting; keys.len()],
         failure: None,
     };
-    let chunks: Vec<&[&AccessKey]> = unique.chunks(batch_size).collect();
-    let workers = parallelism.min(chunks.len());
+    let trips = RoundTrips {
+        provider,
+        performed: AtomicUsize::new(base),
+        budget_binds: base.saturating_add(keys.len()) > max_accesses,
+        max_accesses,
+        clock: obs
+            .gauge("dispatch.queue_wait_us")
+            .map(|queue_wait| (Instant::now(), queue_wait)),
+    };
+    let workers = parallelism.min(batches.len());
     if workers <= 1 {
-        let mut loader = cache.batch_loader();
-        for (b, chunk) in chunks.iter().enumerate() {
-            let complete = trips.run(&mut loader, chunk, |offset, lookup, micros| {
-                outcomes.settle(b * batch_size + offset, lookup, micros);
-            });
+        let mut loader = cache.map(SharedAccessCache::batch_loader);
+        for batch in &batches {
+            let complete = trips.run(
+                loader.as_mut(),
+                &keys[batch.clone()],
+                |offset, lookup, micros| {
+                    landing.settle(slots, batch.start + offset, lookup, micros)
+                },
+            );
             if !complete {
                 break;
             }
@@ -288,20 +332,20 @@ pub(crate) fn dispatch_keys(
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut loader = cache.batch_loader();
+                        let mut loader = cache.map(SharedAccessCache::batch_loader);
                         let mut done: Vec<(usize, BatchLookup<EngineError>, u64)> = Vec::new();
-                        loop {
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let b = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(chunk) = chunks.get(b) else {
+                        while !abort.load(Ordering::Relaxed) {
+                            let Some(batch) = batches.get(next.fetch_add(1, Ordering::Relaxed))
+                            else {
                                 break;
                             };
-                            let complete =
-                                trips.run(&mut loader, chunk, |offset, lookup, micros| {
-                                    done.push((b * batch_size + offset, lookup, micros));
-                                });
+                            let complete = trips.run(
+                                loader.as_mut(),
+                                &keys[batch.clone()],
+                                |offset, lookup, micros| {
+                                    done.push((batch.start + offset, lookup, micros));
+                                },
+                            );
                             if !complete {
                                 abort.store(true, Ordering::Relaxed);
                             }
@@ -316,57 +360,66 @@ pub(crate) fn dispatch_keys(
                 .collect::<Vec<_>>()
         })
         .expect("dispatch scope");
-        for (u, lookup, micros) in completed {
-            outcomes.settle(u, lookup, micros);
+        for (i, lookup, micros) in completed {
+            landing.settle(slots, i, lookup, micros);
         }
     }
-    let Outcomes { served, failure } = outcomes;
+    let Landing { landed, failure } = landing;
+    let performed = |i: usize| matches!(landed[i], Landed::Performed { .. });
 
-    // Fold reality into the log first — every access that reached the
-    // source is recorded (in deterministic first-occurrence order), even
-    // when a sibling batch failed.
-    for (key, served) in unique.iter().zip(&served) {
-        if let Some(served) = served.as_ref().filter(|s| s.loaded) {
-            log.record(key.0, key.1.clone());
-            log.record_extracted(key.0, served.tuples.iter());
+    // Every kept request in frontier order: hand it the extraction it
+    // waited for and its terminal trace event. A request is cache-served
+    // unless it is the first request of an access this frontier performed;
+    // reservations take positions in first-request order, so the first
+    // request of position `p` is the one met while `p` is the next unseen.
+    let mut waiting = later.iter().peekable();
+    let (mut served, mut next_first) = (0, base);
+    for (f, key) in frontier.iter().enumerate() {
+        if kept.is_some_and(|kept| !kept[f]) {
+            continue;
+        }
+        let outcome = match waiting.next_if(|(at, _)| *at == f) {
+            None => Landed::Served,
+            Some(&(_, pos)) => {
+                let first = pos == next_first;
+                next_first += usize::from(first);
+                extractions[f] = Arc::clone(log.extraction_at(pos));
+                match landed[pos - base] {
+                    Landed::Performed { .. } if !first => Landed::Served,
+                    outcome => outcome,
+                }
+            }
+        };
+        match outcome {
+            Landed::Performed { micros } => obs.trace(round, || EventKind::AccessServedSource {
+                key: key.clone(),
+                micros,
+                tuples: extractions[f].len(),
+            }),
+            Landed::Served => {
+                served += 1;
+                obs.trace(round, || EventKind::AccessServedCache { key: key.clone() });
+            }
+            Landed::Waiting => obs.trace(round, || EventKind::AccessFailed { key: key.clone() }),
         }
     }
-    // Propagate the first failure (in frontier order). Unserved entries
-    // without a recorded failure cannot happen with a contract-abiding
-    // provider; surface them instead of panicking.
+
+    // Propagate the first failure (in request order), once the log holds
+    // every access that did reach the source. Unserved accesses without a
+    // recorded failure cannot happen with a contract-abiding provider;
+    // surface them instead of panicking.
     let failure = match failure {
         Some((_, e)) => Some(e),
-        None if served.iter().any(Option::is_none) => Some(EngineError::SourceFailure {
-            relation: "<batch>".to_string(),
-            detail: "provider skipped accesses without reporting a failure".to_string(),
-        }),
+        None if landed.iter().any(|l| matches!(l, Landed::Waiting)) => {
+            Some(EngineError::SourceFailure {
+                relation: "<batch>".to_string(),
+                detail: "provider skipped accesses without reporting a failure".to_string(),
+            })
+        }
         None => None,
     };
     if let Some(err) = failure {
-        // The trace reports reality before the error surfaces: every
-        // request still gets its terminal event — served outcomes as such,
-        // everything else as failed.
-        if obs.is_tracing() {
-            let mut first_unseen = 0u32;
-            for &slot in slots.iter().filter(|&&slot| slot != PRUNED) {
-                let first = slot == first_unseen;
-                first_unseen += u32::from(first);
-                let key = unique[slot as usize];
-                match &served[slot as usize] {
-                    Some(s) if first && s.loaded => {
-                        obs.trace(round, || EventKind::AccessServedSource {
-                            key: key.clone(),
-                            micros: s.micros,
-                            tuples: s.tuples.len(),
-                        });
-                    }
-                    Some(_) => {
-                        obs.trace(round, || EventKind::AccessServedCache { key: key.clone() })
-                    }
-                    None => obs.trace(round, || EventKind::AccessFailed { key: key.clone() }),
-                }
-            }
-        }
+        log.close_frontier(performed);
         return Err(err);
     }
 
@@ -374,102 +427,76 @@ pub(crate) fn dispatch_keys(
     // that actually performed accesses this frontier.
     if obs.is_enabled() {
         let mut per_rel: Vec<(RelationId, Arc<Histogram>)> = Vec::new();
-        for (key, served) in unique.iter().zip(&served) {
-            let Some(served) = served.as_ref().filter(|s| s.loaded) else {
+        for ((relation, _), landed) in log.reserved().0.iter().zip(&landed) {
+            let Landed::Performed { micros } = *landed else {
                 continue;
             };
-            let at = match per_rel.iter().position(|(rel, _)| *rel == key.0) {
+            let at = match per_rel.iter().position(|(rel, _)| rel == relation) {
                 Some(at) => at,
                 None => {
-                    let name = provider.schema().relation(key.0).name();
+                    let name = provider.schema().relation(*relation).name();
                     let histogram = obs
                         .histogram(&format!("dispatch.latency_us.{name}"))
                         .expect("enabled metrics resolve histograms");
-                    per_rel.push((key.0, histogram));
+                    per_rel.push((*relation, histogram));
                     per_rel.len() - 1
                 }
             };
-            per_rel[at].1.record(served.micros);
+            per_rel[at].1.record(micros);
         }
     }
-    let performed_ctr = obs.counter("dispatch.performed");
-    let served_cache_ctr = obs.counter("dispatch.served_cache");
-
-    // Success: account cache service per *request* (duplicates and warm
-    // hits are free under the set semantics) and hand back the extractions
-    // aligned with the frontier. A unique key's first occurrence is the
-    // next one not yet seen, since `unique` is in first-occurrence order.
-    let mut pruned_extraction: Option<Arc<[Tuple]>> = None;
-    let mut first_unseen = 0u32;
-    let mut extractions = Vec::with_capacity(frontier.len());
-    for &slot in &slots {
-        if slot == PRUNED {
-            // Pruned entries extract nothing, by construction of the
-            // relevance filter.
-            extractions.push(Arc::clone(
-                pruned_extraction.get_or_insert_with(|| Vec::new().into()),
-            ));
-            continue;
-        }
-        let first = slot == first_unseen;
-        first_unseen += u32::from(first);
-        let key = unique[slot as usize];
-        let served = served[slot as usize].as_ref().expect("checked above");
-        if first && served.loaded {
-            if let Some(c) = &performed_ctr {
-                c.inc();
-            }
-            obs.trace(round, || EventKind::AccessServedSource {
-                key: key.clone(),
-                micros: served.micros,
-                tuples: served.tuples.len(),
-            });
-        } else {
-            log.record_cache_served();
-            if let Some(c) = &served_cache_ctr {
-                c.inc();
-            }
-            obs.trace(round, || EventKind::AccessServedCache { key: key.clone() });
-        }
-        extractions.push(Arc::clone(&served.tuples));
+    if let Some(c) = obs.counter("dispatch.performed") {
+        c.add((0..landed.len()).filter(|&i| performed(i)).count() as u64);
     }
+    if let Some(c) = obs.counter("dispatch.served_cache") {
+        c.add(served as u64);
+    }
+    log.add_cache_served(served);
+    log.close_frontier(performed);
     Ok(extractions)
 }
 
-/// The `slots` entry of a frontier entry the relevance filter pruned.
-const PRUNED: u32 = u32::MAX;
-
-/// A served unique key.
-struct Served {
-    tuples: Arc<[Tuple]>,
-    /// Whether this dispatch performed the access (not a cache hit).
-    loaded: bool,
-    /// The source latency attributed to the access, in µs (0 when it was
-    /// not performed here or metrics are off).
-    micros: u64,
+/// How a reserved access landed.
+#[derive(Clone, Copy)]
+enum Landed {
+    /// Not (yet) served: never attempted, skipped or failed.
+    Waiting,
+    /// Performed by this dispatch, with the source latency attributed to it
+    /// in µs (0 when metrics are off).
+    Performed { micros: u64 },
+    /// Served by the session cache: retained, or loaded by a concurrent
+    /// caller.
+    Served,
 }
 
-/// What became of each unique key, in first-occurrence order.
-struct Outcomes {
-    served: Vec<Option<Served>>,
-    /// The failure with the smallest unique index, and that index.
+/// The reservations' outcomes as their batches come back.
+struct Landing {
+    landed: Vec<Landed>,
+    /// The failure of the earliest reservation that failed, and its index.
     failure: Option<(usize, EngineError)>,
 }
 
-impl Outcomes {
-    fn settle(&mut self, u: usize, lookup: BatchLookup<EngineError>, micros: u64) {
+impl Landing {
+    /// Settles reservation `i`, storing what it extracted in its log slot.
+    fn settle(
+        &mut self,
+        slots: &mut [Arc<[Tuple]>],
+        i: usize,
+        lookup: BatchLookup<EngineError>,
+        micros: u64,
+    ) {
         match lookup {
             BatchLookup::Served(lookup) => {
-                let loaded = lookup.outcome.loaded();
-                self.served[u] = Some(Served {
-                    tuples: lookup.tuples,
-                    loaded,
-                    micros: if loaded { micros } else { 0 },
-                });
+                self.landed[i] = if lookup.outcome.loaded() {
+                    Landed::Performed { micros }
+                } else {
+                    Landed::Served
+                };
+                slots[i] = lookup.tuples;
             }
             BatchLookup::Failed(e) => {
-                if self.failure.as_ref().is_none_or(|(first, _)| u < *first) {
-                    self.failure = Some((u, e));
+                if self.failure.as_ref().is_none_or(|(first, _)| i < *first) {
+                    self.failure = Some((i, e));
                 }
             }
             BatchLookup::Skipped => {}
@@ -478,65 +505,75 @@ impl Outcomes {
 }
 
 /// What every batch of one frontier shares: the provider, the budget
-/// reservation and the queue-wait probe.
+/// reservation and the clock.
 struct RoundTrips<'a> {
     provider: &'a dyn SourceProvider,
-    /// The log as of the frontier's start: its accesses are exempt from the
-    /// budget.
-    log: &'a AccessLog,
     /// Distinct accesses performed so far (shared budget reservation).
     performed: AtomicUsize,
     /// Whether the budget can bind within this frontier at all. When the
-    /// log plus every unique key fits, no reservation can fail, so neither
-    /// the reservations nor the exemption checks are made.
+    /// log plus every reserved access fits, no reservation can fail, so
+    /// none is made.
     budget_binds: bool,
     max_accesses: usize,
-    queue_wait: Option<Arc<Gauge>>,
-    /// When dispatch began; `Some` exactly when metrics are on, which also
-    /// turns on per-round-trip latency attribution.
-    dispatch_start: Option<Instant>,
+    /// When dispatch began and the queue-wait gauge; `Some` exactly when
+    /// metrics are on, which also turns on per-round-trip latency
+    /// attribution.
+    clock: Option<(Instant, Arc<Gauge>)>,
 }
 
 impl RoundTrips<'_> {
-    /// Resolves one batch through the cache, its misses loaded in one
-    /// source round trip; hands each outcome to `settle` with its offset in
-    /// the batch and its attributed latency. Returns `false` when some
+    /// Resolves one batch — through the session cache's `loader`, its
+    /// misses loaded in one source round trip, or without one straight
+    /// from the source — and hands each outcome to `settle` with its offset
+    /// in the batch and its attributed latency. Returns `false` when some
     /// request was not served.
     fn run(
         &self,
-        loader: &mut BatchLoader<'_>,
-        batch: &[&AccessKey],
+        loader: Option<&mut BatchLoader<'_>>,
+        batch: &[AccessKey],
         mut settle: impl FnMut(usize, BatchLookup<EngineError>, u64),
     ) -> bool {
         let share = Cell::new(0u64);
         let mut complete = true;
-        loader.load(
-            batch,
-            |led| self.round_trip(led, &share),
-            |offset, lookup| {
-                complete &= lookup.served().is_some();
-                settle(offset, lookup, share.get());
-            },
-        );
+        let mut resolve = |offset, lookup: BatchLookup<EngineError>| {
+            complete &= lookup.served().is_some();
+            settle(offset, lookup, share.get());
+        };
+        match loader {
+            Some(loader) => loader.load(batch, |led| self.round_trip(led, &share), resolve),
+            None => {
+                for (offset, result) in self.round_trip(batch, &share).into_iter().enumerate() {
+                    let lookup = match result {
+                        LoadResult::Loaded(tuples) => BatchLookup::Served(Lookup {
+                            tuples: extraction(tuples),
+                            outcome: LookupOutcome::Loaded,
+                        }),
+                        LoadResult::Failed(e) => BatchLookup::Failed(e),
+                        LoadResult::Skipped => BatchLookup::Skipped,
+                    };
+                    resolve(offset, lookup);
+                }
+            }
+        }
         complete
     }
 
-    /// One source round trip for the keys a batch leads. Reserves budget
-    /// for every non-exempt key, in order; the first key that cannot be
-    /// reserved fails the batch there, and the remainder is never
-    /// attempted. With metrics on, the round trip's wall-clock is split
-    /// evenly over the keys it attempted, into `share`.
+    /// One source round trip for `led`. Reserves budget for every key, in
+    /// order; the first key that cannot be reserved fails the batch there,
+    /// and the remainder is never attempted. With metrics on, the clock is
+    /// read once as the round trip starts — the queue wait so far — and
+    /// once as it ends, and the round trip's wall-clock is split evenly
+    /// over the keys it attempted, into `share`.
     fn round_trip(&self, led: &[AccessKey], share: &Cell<u64>) -> Vec<AccessResult> {
-        if let (Some(g), Some(t0)) = (&self.queue_wait, &self.dispatch_start) {
-            g.record_max(micros_since(t0));
-        }
+        let started = self.clock.as_ref().map(|(dispatch_start, queue_wait)| {
+            let now = Instant::now();
+            queue_wait.record_max(micros(now.duration_since(*dispatch_start)));
+            now
+        });
         let mut attempt = led.len();
         let mut busted = false;
         if self.budget_binds {
-            for (j, (relation, binding)) in led.iter().enumerate() {
-                if self.log.contains(*relation, binding) {
-                    continue;
-                }
+            for j in 0..led.len() {
                 if !reserve(&self.performed, self.max_accesses) {
                     attempt = j;
                     busted = true;
@@ -544,10 +581,9 @@ impl RoundTrips<'_> {
                 }
             }
         }
-        let load_start = self.dispatch_start.map(|_| Instant::now());
         let mut out = self.provider.access_batch(&led[..attempt]);
-        if let Some(start) = &load_start {
-            share.set(micros_since(start) / attempt.max(1) as u64);
+        if let Some(started) = started {
+            share.set(micros(started.elapsed()) / attempt.max(1) as u64);
         }
         out.truncate(attempt);
         if busted {
@@ -562,9 +598,9 @@ impl RoundTrips<'_> {
     }
 }
 
-/// Microseconds elapsed since `start`, saturating instead of truncating.
-fn micros_since(start: &Instant) -> u64 {
-    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
+/// Whole microseconds in `elapsed`, saturating instead of truncating.
+fn micros(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Reserves one unit of access budget; `false` when the budget is
@@ -591,7 +627,7 @@ mod tests {
 
     /// One unfiltered kernel round — the path every evaluator takes.
     fn round(
-        cache: &SharedAccessCache,
+        cache: Option<&SharedAccessCache>,
         provider: &dyn SourceProvider,
         log: &mut AccessLog,
         frontier: &[AccessKey],
@@ -639,37 +675,41 @@ mod tests {
             DispatchOptions::parallel(4),
             DispatchOptions::parallel(16).with_batch_size(2),
         ] {
-            let cache = SharedAccessCache::unbounded();
-            let mut log = AccessLog::new();
-            let mut report = DispatchReport::default();
-            let extractions = round(
-                &cache,
-                &src,
-                &mut log,
-                &frontier,
-                options,
-                usize::MAX,
-                &mut report,
-            )
-            .unwrap();
-            assert_eq!(extractions.len(), 4);
-            assert_eq!(
-                extractions[0], extractions[3],
-                "duplicate shares extraction"
-            );
-            runs.push((
-                log.stats(),
-                log.sequence().to_vec(),
-                log.cache_served(),
-                cache.stats().misses,
-                extractions,
-            ));
+            for session in [None, Some(SharedAccessCache::unbounded())] {
+                let mut log = AccessLog::new();
+                let mut report = DispatchReport::default();
+                let extractions = round(
+                    session.as_ref(),
+                    &src,
+                    &mut log,
+                    &frontier,
+                    options,
+                    usize::MAX,
+                    &mut report,
+                )
+                .unwrap();
+                assert_eq!(extractions.len(), 4);
+                assert_eq!(
+                    extractions[0], extractions[3],
+                    "duplicate shares extraction"
+                );
+                if let Some(cache) = &session {
+                    assert_eq!(cache.stats().misses, 3, "the session cache saw each access");
+                }
+                runs.push((
+                    log.stats(),
+                    log.sequence().to_vec(),
+                    log.cache_served(),
+                    report,
+                    extractions,
+                ));
+            }
         }
         for run in &runs[1..] {
             assert_eq!(run.0, runs[0].0, "stats invariant");
             assert_eq!(run.1, runs[0].1, "log order invariant");
             assert_eq!(run.2, runs[0].2, "cache-served invariant");
-            assert_eq!(run.3, runs[0].3, "cache misses invariant");
+            assert_eq!(run.3.frontier_sizes, runs[0].3.frontier_sizes);
             assert_eq!(run.4, runs[0].4, "extractions invariant");
         }
         assert_eq!(runs[0].0.total_accesses, 3, "3 distinct accesses");
@@ -681,11 +721,10 @@ mod tests {
         let src = sample();
         let r = src.schema().relation_id("r").unwrap();
         let frontier = frontier_of(r, &["a", "b", "c", "d", "e", "f", "g", "h"]);
-        let cache = SharedAccessCache::unbounded();
         let mut log = AccessLog::new();
         let mut report = DispatchReport::default();
         let err = round(
-            &cache,
+            None,
             &src,
             &mut log,
             &frontier,
@@ -709,13 +748,12 @@ mod tests {
     fn report_counts_frontiers_and_batches() {
         let src = sample();
         let r = src.schema().relation_id("r").unwrap();
-        let cache = SharedAccessCache::unbounded();
         let mut log = AccessLog::new();
         let mut report = DispatchReport::default();
         let options = DispatchOptions::parallel(2).with_batch_size(2);
         for values in [&["a", "b", "c"][..], &["d"][..]] {
             round(
-                &cache,
+                None,
                 &src,
                 &mut log,
                 &frontier_of(r, values),
@@ -731,5 +769,69 @@ mod tests {
         assert_eq!(report.largest_frontier(), 3);
         assert_eq!(report.total_requested(), 4);
         assert!(report.summary().contains("2 frontier(s)"));
+    }
+
+    /// A repeated access is served from the log, the meta-cache; distinct
+    /// bindings are distinct accesses.
+    #[test]
+    fn access_is_memoized() {
+        let src = sample();
+        let r = src.schema().relation_id("r").unwrap();
+        let (mut log, mut report) = (AccessLog::new(), DispatchReport::default());
+        let frontier = frontier_of(r, &["a"]);
+        let options = DispatchOptions::sequential();
+        let first = round(None, &src, &mut log, &frontier, options, 10, &mut report).unwrap();
+        let second = round(None, &src, &mut log, &frontier, options, 10, &mut report).unwrap();
+        assert_eq!((first[0].len(), &second), (2, &first));
+        assert_eq!(
+            (log.total(), log.cache_served()),
+            (1, 1),
+            "the repeat is served"
+        );
+        assert!(log.contains(r, &tuple!["a"]) && !log.contains(r, &tuple!["b"]));
+    }
+
+    #[test]
+    fn distinct_bindings_are_distinct_accesses() {
+        let src = sample();
+        let r = src.schema().relation_id("r").unwrap();
+        let (mut log, mut report) = (AccessLog::new(), DispatchReport::default());
+        let frontier = frontier_of(r, &["a", "b"]);
+        let options = DispatchOptions::sequential();
+        round(None, &src, &mut log, &frontier, options, 10, &mut report).unwrap();
+        assert_eq!(log.total(), 2);
+    }
+
+    #[test]
+    fn failed_accesses_are_not_memoized() {
+        let src = crate::FlakySource::new(sample(), 1); // always fails
+        let r = src.schema().relation_id("r").unwrap();
+        let (mut log, mut report) = (AccessLog::new(), DispatchReport::default());
+        let frontier = frontier_of(r, &["a", "c", "a"]);
+        for options in [DispatchOptions::sequential(), DispatchOptions::parallel(2)] {
+            assert!(round(None, &src, &mut log, &frontier, options, 10, &mut report).is_err());
+            assert_eq!((log.total(), log.cache_served()), (0, 0));
+        }
+    }
+
+    /// Over a session cache, one execution's accesses are free for the
+    /// next: its log records nothing and counts the request cache-served.
+    #[test]
+    fn over_a_shared_handle_accesses_are_shared() {
+        let src = sample();
+        let r = src.schema().relation_id("r").unwrap();
+        let shared = SharedAccessCache::unbounded();
+        let frontier = frontier_of(r, &["a"]);
+        let (options, mut report) = (DispatchOptions::sequential(), DispatchReport::default());
+        for performed in [1, 0] {
+            let mut log = AccessLog::new();
+            let cache = Some(&shared);
+            let tuples = round(cache, &src, &mut log, &frontier, options, 10, &mut report);
+            assert_eq!(tuples.unwrap()[0].len(), 2);
+            assert_eq!(
+                (log.total(), log.cache_served()),
+                (performed, 1 - performed)
+            );
+        }
     }
 }

@@ -15,10 +15,12 @@
 //!    over its domain pools, shared with the naive evaluator through
 //!    [`crate::kernel::fresh_bindings`] — and hands them to the kernel,
 //!    which (at [`PruningLevel::Runtime`] and above) drops accesses whose
-//!    outputs provably cannot reach the query head and dispatches the rest through
-//!    the shared access cache ([`toorjah_cache::SharedAccessCache`]), so no
-//!    access is ever repeated — or, through [`execute_plan_cached`], ever
-//!    repeated across whole queries and sessions;
+//!    outputs provably cannot reach the query head and dispatches the rest;
+//!    the access log, the execution's meta-cache, serves every access
+//!    already made, so no access is ever repeated — or, through
+//!    [`execute_plan_cached`] and a session cache
+//!    ([`toorjah_cache::SharedAccessCache`]), ever repeated across whole
+//!    queries and sessions;
 //! 4. a relation is accessed only with bindings produced by its domain
 //!    predicates ("the relation is accessed only if all the other
 //!    conditions succeed");
@@ -46,8 +48,8 @@ use toorjah_obs::{EventKind, Obs};
 
 use crate::kernel::{fresh_bindings, Kernel, PoolView, RelevancePruner};
 use crate::{
-    AccessLog, AccessStats, DispatchOptions, DispatchReport, EngineError, MetaCache,
-    SourceProvider, DEFAULT_ACCESS_BUDGET,
+    AccessLog, AccessStats, DispatchOptions, DispatchReport, EngineError, SourceProvider,
+    DEFAULT_ACCESS_BUDGET,
 };
 
 /// How aggressively an execution avoids provably useless work. The tiers
@@ -222,36 +224,36 @@ pub fn execute_plan(
     provider: &dyn SourceProvider,
     options: ExecOptions,
 ) -> Result<ExecutionReport, EngineError> {
-    let cache = SharedAccessCache::unbounded();
-    let mut log = AccessLog::new();
-    execute_plan_cached(plan, provider, options, &cache, &mut log)
+    execute_plan_with(plan, provider, options, &mut AccessLog::new())
 }
 
-/// [`execute_plan`] with caller-provided meta-cache and access log, so that
-/// several plans — e.g. the disjuncts of a union of conjunctive queries —
-/// share extraction results and never repeat an access across plans.
+/// [`execute_plan`] with a caller-provided access log. The log is the
+/// meta-cache: several plans run over one log — e.g. the disjuncts of a
+/// union of conjunctive queries — share extractions and never repeat an
+/// access across plans.
 pub fn execute_plan_with(
     plan: &QueryPlan,
     provider: &dyn SourceProvider,
     options: ExecOptions,
-    meta: &mut MetaCache,
     log: &mut AccessLog,
 ) -> Result<ExecutionReport, EngineError> {
-    execute_plan_cached(plan, provider, options, meta.shared(), log)
+    execute_plan_cached(plan, provider, options, None, log)
 }
 
-/// [`execute_plan`] against a [`SharedAccessCache`]: the cache-aware
-/// execution path. Accesses already retained in `cache` (by a previous
-/// query, another session, or a warm-started snapshot) are served at zero
-/// cost and do **not** appear in `log` — the per-query log records exactly
-/// the accesses this execution performed against the provider, which is the
-/// paper's cost metric. Answers are invariant under cache reuse and
-/// eviction; see DESIGN.md for the consistency discipline.
+/// [`execute_plan`] over two tiers of caching. The access `log` is the
+/// execution's meta-cache: an access it holds is served from it and never
+/// made again. The optional session `cache` shares extractions *across*
+/// executions: accesses it retains (from a previous query, another session,
+/// or a warm-started snapshot) are served at zero cost and do **not**
+/// appear in `log` — the per-query log records exactly the accesses this
+/// execution performed against the provider, which is the paper's cost
+/// metric. Answers are invariant under cache reuse and eviction; see
+/// DESIGN.md for the consistency discipline.
 pub fn execute_plan_cached(
     plan: &QueryPlan,
     provider: &dyn SourceProvider,
     options: ExecOptions,
-    cache: &SharedAccessCache,
+    cache: Option<&SharedAccessCache>,
     log: &mut AccessLog,
 ) -> Result<ExecutionReport, EngineError> {
     // Resolve each cache's relation inside the provider's schema.
@@ -958,7 +960,7 @@ mod tests {
             &planned.plan,
             &src,
             ExecOptions::default(),
-            &cache,
+            Some(&cache),
             &mut cold_log,
         )
         .unwrap();
@@ -970,7 +972,7 @@ mod tests {
             &planned.plan,
             &src,
             ExecOptions::default(),
-            &cache,
+            Some(&cache),
             &mut warm_log,
         )
         .unwrap();
@@ -1049,7 +1051,7 @@ mod pruning_tests {
                 prune_level: PruningLevel::Runtime,
                 ..ExecOptions::default()
             },
-            &SharedAccessCache::unbounded(),
+            None,
             &mut pruned_log,
         )
         .unwrap();

@@ -19,19 +19,17 @@ use toorjah_query::{ConjunctiveQuery, Term};
 /// Evaluates `query` over per-atom extensions, returning the distinct
 /// answer tuples (projections onto the head).
 ///
-/// `tuples_for_atom(i)` supplies the tuples the `i`-th body atom ranges
-/// over (for the naive algorithm: the cache of the atom's relation).
+/// `extensions[i]` holds the tuples the `i`-th body atom ranges over (for
+/// the naive algorithm: the cache of the atom's relation), borrowed — the
+/// evaluation indexes its own copy once.
 ///
 /// The body is decomposed into variable-connected components: components
 /// binding no head variable reduce to satisfiability checks, and the head
 /// components are enumerated independently and combined — so a disconnected
 /// guard atom multiplies nothing.
-pub fn evaluate_cq(
-    query: &ConjunctiveQuery,
-    tuples_for_atom: &dyn Fn(usize) -> Vec<Tuple>,
-) -> Vec<Tuple> {
+pub fn evaluate_cq(query: &ConjunctiveQuery, extensions: &[&[Tuple]]) -> Vec<Tuple> {
     let atoms: Vec<usize> = (0..query.atoms().len()).collect();
-    let body = Body::load(query, &atoms, tuples_for_atom);
+    let body = Body::load(query, &atoms, extensions);
     let goals = body.goals();
     let head: Vec<DTerm> = query.head().iter().map(|v| DTerm::Var(v.0)).collect();
     head_instances(&head, &goals, &greedy_order(&goals), query.var_count())
@@ -40,13 +38,14 @@ pub fn evaluate_cq(
 /// Evaluates the restriction of `query` to the body atoms in `atoms` and
 /// returns all satisfying assignments projected onto the variables bound by
 /// those atoms (deduplicated, as full binding vectors aligned with
-/// [`ConjunctiveQuery::var_names`]).
+/// [`ConjunctiveQuery::var_names`]). `extensions` is indexed by body atom,
+/// as for [`evaluate_cq`].
 pub fn evaluate_cq_subset(
     query: &ConjunctiveQuery,
     atoms: &[usize],
-    tuples_for_atom: &dyn Fn(usize) -> Vec<Tuple>,
+    extensions: &[&[Tuple]],
 ) -> Vec<Vec<Option<Value>>> {
-    let body = Body::load(query, atoms, tuples_for_atom);
+    let body = Body::load(query, atoms, extensions);
     let goals = body.goals();
     let ordered: Vec<Goal<'_>> = greedy_order(&goals).iter().map(|&i| goals[i]).collect();
     let mut out = Vec::new();
@@ -65,12 +64,8 @@ pub fn evaluate_cq_subset(
 /// first witness per variable-connected component (disconnected components
 /// are checked independently, so a failing one is found without iterating
 /// the others).
-pub fn cq_satisfiable(
-    query: &ConjunctiveQuery,
-    atoms: &[usize],
-    tuples_for_atom: &dyn Fn(usize) -> Vec<Tuple>,
-) -> bool {
-    let body = Body::load(query, atoms, tuples_for_atom);
+pub fn cq_satisfiable(query: &ConjunctiveQuery, atoms: &[usize], extensions: &[&[Tuple]]) -> bool {
+    let body = Body::load(query, atoms, extensions);
     satisfiable(&body.goals(), query.var_count())
 }
 
@@ -83,17 +78,13 @@ struct Body {
 }
 
 impl Body {
-    fn load(
-        query: &ConjunctiveQuery,
-        atoms: &[usize],
-        tuples_for_atom: &dyn Fn(usize) -> Vec<Tuple>,
-    ) -> Self {
+    fn load(query: &ConjunctiveQuery, atoms: &[usize], extensions: &[&[Tuple]]) -> Self {
         let mut store = FactStore::new();
         let mut terms = Vec::with_capacity(atoms.len());
         let mut preds = Vec::with_capacity(atoms.len());
         for &i in atoms {
             let pred = PredId(i as u32);
-            store.extend(pred, tuples_for_atom(i));
+            store.extend(pred, extensions[i].iter().cloned());
             terms.push(
                 query.atoms()[i]
                     .terms()
@@ -180,7 +171,7 @@ mod tests {
     #[test]
     fn chain_join() {
         let (_, q, data) = fixtures();
-        let answers = evaluate_cq(&q, &|i| data[&i].clone());
+        let answers = evaluate_cq(&q, &[&data[&0], &data[&1]]);
         assert_eq!(answers.len(), 3);
         assert!(answers.contains(&tuple!["a1", "c1"]));
         assert!(answers.contains(&tuple!["a3", "c1"]));
@@ -192,7 +183,7 @@ mod tests {
         let schema = Schema::parse("r^oo(A, B)").unwrap();
         let q = parse_query("q(X) <- r(X, 'b1')", &schema).unwrap();
         let data = vec![tuple!["a1", "b1"], tuple!["a2", "b2"]];
-        let answers = evaluate_cq(&q, &|_| data.clone());
+        let answers = evaluate_cq(&q, &[&data]);
         assert_eq!(answers, vec![tuple!["a1"]]);
     }
 
@@ -201,7 +192,7 @@ mod tests {
         let schema = Schema::parse("r^oo(A, B)").unwrap();
         let q = parse_query("q(X) <- r(X, Y)", &schema).unwrap();
         let data = vec![tuple!["a", "b1"], tuple!["a", "b2"]];
-        let answers = evaluate_cq(&q, &|_| data.clone());
+        let answers = evaluate_cq(&q, &[&data]);
         assert_eq!(answers, vec![tuple!["a"]]);
     }
 
@@ -209,25 +200,21 @@ mod tests {
     fn boolean_query_yields_empty_tuple() {
         let schema = Schema::parse("r^oo(A, B)").unwrap();
         let q = parse_query("q() <- r(X, Y)", &schema).unwrap();
-        let answers = evaluate_cq(&q, &|_| vec![tuple!["a", "b"]]);
+        let answers = evaluate_cq(&q, &[&[tuple!["a", "b"]]]);
         assert_eq!(answers, vec![Tuple::empty()]);
-        let none = evaluate_cq(&q, &|_| vec![]);
+        let none = evaluate_cq(&q, &[&[]]);
         assert!(none.is_empty());
     }
 
     #[test]
     fn satisfiability_stops_early() {
         let (_, q, data) = fixtures();
-        assert!(cq_satisfiable(&q, &[0, 1], &|i| data[&i].clone()));
-        assert!(cq_satisfiable(&q, &[0], &|i| data[&i].clone()));
+        assert!(cq_satisfiable(&q, &[0, 1], &[&data[&0], &data[&1]]));
+        assert!(cq_satisfiable(&q, &[0], &[&data[&0], &data[&1]]));
         // Empty subset: trivially satisfiable.
-        assert!(cq_satisfiable(&q, &[], &|i| data[&i].clone()));
+        assert!(cq_satisfiable(&q, &[], &[&data[&0], &data[&1]]));
         // Empty extension: unsatisfiable.
-        assert!(!cq_satisfiable(&q, &[0, 1], &|i| if i == 0 {
-            vec![]
-        } else {
-            data[&i].clone()
-        }));
+        assert!(!cq_satisfiable(&q, &[0, 1], &[&[], &data[&1]]));
     }
 
     #[test]
@@ -235,17 +222,13 @@ mod tests {
         let (_, q, _) = fixtures();
         let data_r = vec![tuple!["a1", "b7"]];
         let data_s = vec![tuple!["b8", "c1"]];
-        assert!(!cq_satisfiable(&q, &[0, 1], &|i| if i == 0 {
-            data_r.clone()
-        } else {
-            data_s.clone()
-        }));
+        assert!(!cq_satisfiable(&q, &[0, 1], &[&data_r, &data_s]));
     }
 
     #[test]
     fn subset_bindings_are_partial() {
         let (_, q, data) = fixtures();
-        let rows = evaluate_cq_subset(&q, &[0], &|i| data[&i].clone());
+        let rows = evaluate_cq_subset(&q, &[0], &[&data[&0], &data[&1]]);
         assert_eq!(rows.len(), 3);
         // Variable Z (index of Z in q) is unbound in every row.
         let z = q.var_names().iter().position(|n| n == "Z").unwrap();
@@ -257,7 +240,7 @@ mod tests {
         let schema = Schema::parse("e^oo(V, V)").unwrap();
         let q = parse_query("q(X, Z) <- e(X, Y), e(Y, Z)", &schema).unwrap();
         let data = vec![tuple![1, 2], tuple![2, 3]];
-        let answers = evaluate_cq(&q, &|_| data.clone());
+        let answers = evaluate_cq(&q, &[&data, &data]);
         assert_eq!(answers, vec![tuple![1, 3]]);
     }
 
@@ -266,7 +249,7 @@ mod tests {
         let schema = Schema::parse("e^oo(V, V)").unwrap();
         let q = parse_query("q(X) <- e(X, X)", &schema).unwrap();
         let data = vec![tuple![1, 1], tuple![1, 2], tuple![3, 3]];
-        let answers = evaluate_cq(&q, &|_| data.clone());
+        let answers = evaluate_cq(&q, &[&data]);
         assert_eq!(answers.len(), 2);
     }
 
@@ -277,7 +260,7 @@ mod tests {
         let q = parse_query("q(X, Z) <- r(X, Y), s(Y, Z)", &schema).unwrap();
         let r: Vec<Tuple> = (0..1000).map(|i| tuple![i, i + 1000]).collect();
         let s: Vec<Tuple> = (0..1000).map(|i| tuple![i + 1000, i + 2000]).collect();
-        let answers = evaluate_cq(&q, &|i| if i == 0 { r.clone() } else { s.clone() });
+        let answers = evaluate_cq(&q, &[&r, &s]);
         assert_eq!(answers.len(), 1000);
     }
 }

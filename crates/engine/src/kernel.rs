@@ -4,10 +4,11 @@
 //! naive Fig. 1 algorithm, the negation checks and (through the executor)
 //! union execution — is one loop shape: **collect** a frontier of
 //! `(relation, binding)` accesses, **filter** it for runtime relevance,
-//! **dispatch** the survivors through the shared cache, **fold** the
-//! extractions back into evaluator state, and repeat to a fixpoint. Until
-//! this module existed that loop was hand-copied per evaluator; now the
-//! evaluators are thin strategy configurations over three primitives:
+//! **dispatch** the survivors (the access log serves the ones already
+//! made), **fold** the extractions back into evaluator state, and repeat
+//! to a fixpoint. Until this module existed that loop was hand-copied per
+//! evaluator; now the evaluators are thin strategy configurations over
+//! three primitives:
 //!
 //! * [`Kernel::round`] — one collect→filter→dispatch step. Accounting is
 //!   uniform: the *requested* frontier size is recorded, pruned accesses
@@ -73,11 +74,13 @@ impl KernelMetrics {
     }
 }
 
-/// Execution-scoped kernel state: the shared cache, the provider, the
-/// per-query access log and the dispatch accounting every evaluator
-/// strategy routes its rounds through.
+/// Execution-scoped kernel state: the optional session cache, the
+/// provider, the per-query access log (the meta-cache) and the dispatch
+/// accounting every evaluator strategy routes its rounds through.
 pub(crate) struct Kernel<'a> {
-    cache: &'a SharedAccessCache,
+    /// The session cache, when there is one; the log is the execution's
+    /// meta-cache either way.
+    cache: Option<&'a SharedAccessCache>,
     provider: &'a dyn SourceProvider,
     pub(crate) log: &'a mut AccessLog,
     report: &'a mut DispatchReport,
@@ -102,7 +105,7 @@ pub(crate) struct Kernel<'a> {
 
 impl<'a> Kernel<'a> {
     pub(crate) fn new(
-        cache: &'a SharedAccessCache,
+        cache: Option<&'a SharedAccessCache>,
         provider: &'a dyn SourceProvider,
         log: &'a mut AccessLog,
         report: &'a mut DispatchReport,
@@ -138,11 +141,10 @@ impl<'a> Kernel<'a> {
     }
 
     /// One kernel round: records the requested frontier, applies the
-    /// relevance filter (`keep`, when given), dispatches the survivors
-    /// through the shared cache, and returns the extractions aligned with
-    /// the *requested* frontier — pruned entries yield empty extractions.
-    /// The frontier is borrowed all the way down: the filter leaves a mask,
-    /// not a copy of the kept keys.
+    /// relevance filter (`keep`, when given), dispatches the survivors,
+    /// and returns the extractions aligned with the *requested* frontier —
+    /// pruned entries yield empty extractions. The frontier is borrowed all
+    /// the way down: the filter leaves a mask, not a copy of the kept keys.
     ///
     /// With no filter the round is byte-identical to handing the frontier
     /// straight to the dispatcher: same accesses, same log order, same
@@ -430,7 +432,7 @@ mod tests {
         let mut log = AccessLog::new();
         let mut report = DispatchReport::default();
         let mut kernel = Kernel::new(
-            &cache,
+            Some(&cache),
             &src,
             &mut log,
             &mut report,
@@ -454,11 +456,10 @@ mod tests {
     #[test]
     fn fixpoint_counts_rounds_including_the_barren_one() {
         let src = sample();
-        let cache = SharedAccessCache::unbounded();
         let mut log = AccessLog::new();
         let mut report = DispatchReport::default();
         let mut kernel = Kernel::new(
-            &cache,
+            None,
             &src,
             &mut log,
             &mut report,

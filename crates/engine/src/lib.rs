@@ -6,21 +6,20 @@
 //! The engine executes queries against *sources with access limitations*,
 //! counting **accesses** — the paper's cost metric (`Acc(D, Π)` is a set of
 //! accesses, so repeating an access is free only if it is never issued, which
-//! the per-relation meta-cache guarantees). It provides:
+//! the meta-cache guarantees). It provides:
 //!
 //! * [`SourceProvider`]: the remote-source abstraction, with an in-memory
 //!   implementation ([`InstanceSource`]), a latency-accounting wrapper
 //!   ([`LatencySource`]) simulating slow web/legacy sources, and a
 //!   failure-injecting wrapper ([`FlakySource`]) for tests;
 //! * [`AccessLog`] / [`AccessStats`]: per-relation access and extraction
-//!   accounting;
-//! * [`MetaCache`]: the paper's per-relation cache of performed accesses
-//!   ("we keep track of all access tuples used to access relations") — since
-//!   the shared-cache subsystem, a thin adapter over
-//!   [`SharedAccessCache`], the sharded cross-query access cache
-//!   (re-exported from [`toorjah_cache`]) that [`execute_plan_cached`],
-//!   [`execute_union_cached`] and [`execute_negated_cached`] thread through
-//!   entire sessions;
+//!   accounting — and the paper's meta-cache ("we keep track of all access
+//!   tuples used to access relations"): the log keeps each performed
+//!   access's extraction, so within one execution no access is ever made
+//!   twice. Sharing across executions and sessions is the second tier,
+//!   [`SharedAccessCache`] (re-exported from [`toorjah_cache`]), which
+//!   [`execute_plan_cached`], [`execute_union_cached`] and
+//!   [`execute_negated_cached`] take;
 //! * the **evaluation kernel** (`kernel`, internal): the single
 //!   round-based loop — collect frontier → runtime relevance filter →
 //!   dispatch → fold, iterated to a fixpoint — that every evaluator is a
@@ -51,7 +50,6 @@ mod error;
 mod executor;
 mod join;
 mod kernel;
-mod metacache;
 mod naive;
 mod negation;
 mod source;
@@ -71,7 +69,6 @@ pub use executor::{
     PruningLevel,
 };
 pub use join::{cq_satisfiable, evaluate_cq, evaluate_cq_subset};
-pub use metacache::MetaCache;
 pub use naive::{naive_evaluate, NaiveOptions, NaiveResult};
 pub use negation::{
     execute_negated, execute_negated_cached, execute_negated_plan, negation_checks, plan_negated,

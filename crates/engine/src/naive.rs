@@ -30,7 +30,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use toorjah_cache::SharedAccessCache;
 use toorjah_catalog::{AccessKey, DomainId, Schema, Tuple, Value};
 use toorjah_obs::Obs;
 use toorjah_query::ConjunctiveQuery;
@@ -131,11 +130,8 @@ pub fn naive_evaluate(
     let mut cache: Vec<Vec<Tuple>> = vec![Vec::new(); schema.relation_count()];
     let mut cache_seen: Vec<HashSet<Tuple>> = vec![HashSet::new(); schema.relation_count()];
 
-    // The private per-run access cache (the meta-cache role); the frontier
-    // bookkeeping below never generates a binding twice, so in practice
-    // every lookup is a miss — the cache's job here is the single-flight
-    // load path the kernel's dispatcher requires.
-    let access_cache = SharedAccessCache::unbounded();
+    // The access log is the meta-cache; the frontier bookkeeping below
+    // never generates a binding twice, so in practice it serves nothing.
     let mut log = AccessLog::new();
     let mut dispatch_report = DispatchReport::default();
 
@@ -159,7 +155,7 @@ pub fn naive_evaluate(
     let rounds;
     {
         let mut kernel = Kernel::new(
-            &access_cache,
+            None,
             provider,
             &mut log,
             &mut dispatch_report,
@@ -242,9 +238,12 @@ pub fn naive_evaluate(
     }
 
     // 3) Evaluate the query over the cache.
-    let answers = evaluate_cq(query, &|atom_idx| {
-        cache[query.atoms()[atom_idx].relation().index()].clone()
-    });
+    let extensions: Vec<&[Tuple]> = query
+        .atoms()
+        .iter()
+        .map(|atom| cache[atom.relation().index()].as_slice())
+        .collect();
+    let answers = evaluate_cq(query, &extensions);
 
     Ok(NaiveResult {
         answers,

@@ -169,19 +169,14 @@ pub fn execute_negated(
     provider: &dyn SourceProvider,
     options: ExecOptions,
 ) -> Result<NegationReport, NegationError> {
-    execute_negated_cached(
-        query,
-        schema,
-        provider,
-        options,
-        &SharedAccessCache::unbounded(),
-    )
+    let plan = plan_negated(query, schema, &Planner::default())?;
+    execute_negated_plan(&plan, provider, options, None, &mut AccessLog::new())
 }
 
 /// [`execute_negated`] against a caller-provided [`SharedAccessCache`]: the
-/// positive plan *and* the per-candidate negation checks all go through the
-/// shared cache, so repeated checks are free within the query (the paper's
-/// meta-cache discipline) and across queries sharing the handle.
+/// positive plan *and* the per-candidate negation checks share it with
+/// every query over the handle. Within the query, the access log already
+/// makes repeated checks free (the paper's meta-cache discipline).
 pub fn execute_negated_cached(
     query: &NegatedQuery,
     schema: &Schema,
@@ -191,18 +186,18 @@ pub fn execute_negated_cached(
 ) -> Result<NegationReport, NegationError> {
     let plan = plan_negated(query, schema, &Planner::default())?;
     let mut log = AccessLog::new();
-    execute_negated_plan(&plan, provider, options, cache, &mut log)
+    execute_negated_plan(&plan, provider, options, Some(cache), &mut log)
 }
 
 /// Executes an already planned negated query ([`plan_negated`]): the
 /// positive plan runs through the fast-failing executor, then
-/// [`negation_checks`] decides every negated atom exactly. All accesses go
-/// through `cache` and are accounted in `log`.
+/// [`negation_checks`] decides every negated atom exactly. All accesses are
+/// accounted in `log`, and shared through the session `cache` when given.
 pub fn execute_negated_plan(
     plan: &NegatedPlan,
     provider: &dyn SourceProvider,
     options: ExecOptions,
-    cache: &SharedAccessCache,
+    cache: Option<&SharedAccessCache>,
     log: &mut AccessLog,
 ) -> Result<NegationReport, NegationError> {
     // The positive part must surface every candidate — first-k applies
@@ -248,7 +243,7 @@ pub fn negation_checks(
     candidates: &[Tuple],
     provider: &dyn SourceProvider,
     options: ExecOptions,
-    cache: &SharedAccessCache,
+    cache: Option<&SharedAccessCache>,
     log: &mut AccessLog,
     dispatch: &mut DispatchReport,
 ) -> Result<NegationChecks, NegationError> {
@@ -440,7 +435,7 @@ mod tests {
             let cache = SharedAccessCache::unbounded();
             let mut log = AccessLog::new();
             let report =
-                execute_negated_plan(&plan, &src, ExecOptions::default(), &cache, &mut log)
+                execute_negated_plan(&plan, &src, ExecOptions::default(), Some(&cache), &mut log)
                     .unwrap();
             assert_eq!(report.answers, reference.answers);
             assert_eq!(report.stats, reference.stats);

@@ -3,9 +3,9 @@
 //! A UCQ is answered by executing one ⊂-minimal plan per disjunct — each an
 //! evaluation-kernel run of the fast-failing executor, so runtime relevance
 //! pruning ([`ExecOptions::prune_level`]) applies per disjunct. The disjuncts
-//! **share the per-relation meta-cache and the access log**, so an access
-//! performed for one disjunct is free for every other — the natural
-//! generalization of the paper's "never repeat an access" discipline.
+//! **share the access log**, the meta-cache, so an access performed for one
+//! disjunct is free for every other — the natural generalization of the
+//! paper's "never repeat an access" discipline.
 //!
 //! With [`ExecOptions::first_k`], execution stops *between* disjuncts once
 //! `k` distinct union answers are certain (a disjunct's answers are final —
@@ -49,20 +49,19 @@ pub fn execute_union(
     provider: &dyn SourceProvider,
     options: ExecOptions,
 ) -> Result<UnionReport, EngineError> {
-    let cache = SharedAccessCache::unbounded();
-    let mut log = AccessLog::new();
-    execute_union_cached(plans, provider, options, &cache, &mut log)
+    execute_union_cached(plans, provider, options, None, &mut AccessLog::new())
 }
 
-/// [`execute_union`] against a caller-provided [`SharedAccessCache`] and
-/// access log: disjuncts share the cache with each other *and* with any
-/// other query executed over the same handle — the cross-query
-/// generalization of the shared meta-cache discipline.
+/// [`execute_union`] with a caller-provided access log and an optional
+/// session [`SharedAccessCache`]: disjuncts share the log — the meta-cache
+/// — with each other, and the session cache with any other query executed
+/// over the same handle — the cross-query generalization of the meta-cache
+/// discipline.
 pub fn execute_union_cached(
     plans: &[&QueryPlan],
     provider: &dyn SourceProvider,
     options: ExecOptions,
-    cache: &SharedAccessCache,
+    cache: Option<&SharedAccessCache>,
     log: &mut AccessLog,
 ) -> Result<UnionReport, EngineError> {
     let mut answers = Vec::new();

@@ -43,7 +43,7 @@ fn run(
 ) -> (toorjah_engine::ExecutionReport, AccessLog) {
     let cache = SharedAccessCache::unbounded();
     let mut log = AccessLog::new();
-    let report = execute_plan_cached(plan, provider, options, &cache, &mut log)
+    let report = execute_plan_cached(plan, provider, options, Some(&cache), &mut log)
         .expect("plan executes on small workloads");
     (report, log)
 }
@@ -356,7 +356,8 @@ fn check_join_kernel(seed: u64) {
     let mut expected: Vec<Tuple> = reference.into_iter().collect();
     expected.sort();
 
-    let answers = evaluate_cq(&query, &|i| extensions[i].clone());
+    let borrowed: Vec<&[Tuple]> = extensions.iter().map(Vec::as_slice).collect();
+    let answers = evaluate_cq(&query, &borrowed);
     let distinct: HashSet<&Tuple> = answers.iter().collect();
     assert_eq!(
         distinct.len(),
@@ -388,7 +389,7 @@ fn check_join_kernel(seed: u64) {
             witnessed = true
         });
         assert_eq!(
-            cq_satisfiable(&query, &subset, &|i| extensions[i].clone()),
+            cq_satisfiable(&query, &subset, &borrowed),
             witnessed,
             "satisfiability of {subset:?} differs on seed {seed}"
         );

@@ -86,8 +86,8 @@ pub struct Service {
 impl Service {
     /// Wraps a [`Toorjah`] instance. Install a session cache on the
     /// instance (the builder's `.cache()`/`.cache_config()`) — without one
-    /// every statement runs against a private cache and tenants share
-    /// nothing, which defeats the daemon's purpose (the `serve` CLI mode
+    /// every statement is served by its own access log alone and tenants
+    /// share nothing, which defeats the daemon's purpose (the `serve` CLI mode
     /// always installs one).
     pub fn new(system: Toorjah, config: ServiceConfig) -> Self {
         Service {

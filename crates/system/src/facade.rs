@@ -270,8 +270,9 @@ impl ToorjahBuilder {
 
 /// The Toorjah system: a source provider plus the planner/executor pipeline.
 ///
-/// By default each statement evaluates against a private, unbounded access
-/// cache (the paper's one-shot semantics). Install a session cache with
+/// By default a statement shares nothing with other statements: its access
+/// log is its meta-cache (the paper's one-shot semantics). Install a
+/// session cache with
 /// [`Toorjah::builder`] (or [`Toorjah::with_cache`]) to share extractions
 /// across statements — and, since [`SharedAccessCache`] handles are cheaply
 /// cloneable, across any number of `Toorjah` instances and threads serving

@@ -8,7 +8,8 @@
 //!   when installed);
 //! * [`crate::Response::metrics`] — captured at the end of every execution
 //!   against the cache that execution actually used, so per-query metrics
-//!   work even without a session cache.
+//!   work even without a session cache (then from the access log, as one
+//!   shard).
 //!
 //! Serialization is hand-rolled JSON with a stable key order
 //! (`interner`, `counters`, `gauges`, `histograms`, `cache`), pinned by

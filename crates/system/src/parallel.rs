@@ -334,8 +334,11 @@ fn coordinate(
                         if performed {
                             // This run paid for the access; coalesced and
                             // cache-served wrapper results are free.
-                            log.record(result.relation, result.binding.clone());
-                            log.record_extracted(result.relation, tuples.iter());
+                            log.record(
+                                result.relation,
+                                result.binding.clone(),
+                                Arc::clone(&tuples),
+                            );
                         } else {
                             log.record_cache_served();
                         }

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use toorjah_cache::SharedAccessCache;
+use toorjah_cache::{CacheStats, ShardCounters, SharedAccessCache};
 use toorjah_core::Planned;
 use toorjah_engine::{
     execute_plan_cached, execute_union_cached, negation_checks, AccessLog, DispatchOptions,
@@ -26,6 +26,24 @@ use toorjah_query::Statement;
 use crate::facade::{Toorjah, ToorjahConfig, ToorjahError};
 use crate::response::{ExecMode, ExecutionProfile, PhaseTimings, Response};
 use crate::{run_distillation_cached, AnswerStream, MetricsReport};
+
+/// The cache counters of an execution without a cache, read off its log,
+/// the meta-cache, as one shard: every performed access was a miss and
+/// every served repeat a hit. The log keeps no byte account.
+fn log_cache_counters(log: &AccessLog) -> (CacheStats, Vec<ShardCounters>) {
+    let shard = ShardCounters {
+        hits: log.cache_served() as u64,
+        misses: log.total() as u64,
+        ..ShardCounters::default()
+    };
+    let totals = CacheStats {
+        hits: shard.hits,
+        misses: shard.misses,
+        entries: log.total(),
+        ..CacheStats::default()
+    };
+    (totals, vec![shard])
+}
 
 /// The planned form of one statement kind (large payloads boxed: a
 /// `Prepared` is built once and moved around rarely).
@@ -157,7 +175,15 @@ impl Prepared {
         max_accesses: Option<usize>,
     ) -> Result<Response, ToorjahError> {
         let started = Instant::now();
-        let cache = self.execution_cache();
+        // The log is the execution's meta-cache; the session cache, when
+        // installed, shares accesses across executions. Only the
+        // distillation coordinator behind `Streaming` shares extractions
+        // through a cache of its own.
+        let cache = match mode {
+            ExecMode::Streaming => Some(self.execution_cache()),
+            _ => self.session_cache.clone(),
+        };
+        let distillation_cache = || cache.clone().expect("a streaming execution has a cache");
         let mut exec = self.exec_options(mode);
         if let Some(cap) = max_accesses {
             exec.max_accesses = cap.min(exec.max_accesses);
@@ -175,7 +201,7 @@ impl Prepared {
                     &planned.plan,
                     self.provider.as_ref(),
                     exec,
-                    &cache,
+                    cache.as_ref(),
                     &mut log,
                 )?;
                 dispatch = report.dispatch;
@@ -186,7 +212,7 @@ impl Prepared {
                     planned.plan.clone(),
                     Arc::clone(&self.provider),
                     self.config.distillation,
-                    cache.clone(),
+                    distillation_cache(),
                 )
                 .wait()
                 .map_err(ToorjahError::Execution)?;
@@ -201,8 +227,13 @@ impl Prepared {
                 skipped_disjuncts = skipped.clone();
                 let plans: Vec<&toorjah_core::QueryPlan> =
                     planned.iter().map(|p| &p.plan).collect();
-                let report =
-                    execute_union_cached(&plans, self.provider.as_ref(), exec, &cache, &mut log)?;
+                let report = execute_union_cached(
+                    &plans,
+                    self.provider.as_ref(),
+                    exec,
+                    cache.as_ref(),
+                    &mut log,
+                )?;
                 dispatch = report.dispatch;
                 report.answers
             }
@@ -221,7 +252,7 @@ impl Prepared {
                         p.plan.clone(),
                         Arc::clone(&self.provider),
                         self.config.distillation,
-                        cache.clone(),
+                        distillation_cache(),
                     )
                     .wait()
                     .map_err(ToorjahError::Execution)?;
@@ -243,7 +274,7 @@ impl Prepared {
                     plan,
                     self.provider.as_ref(),
                     exec,
-                    &cache,
+                    cache.as_ref(),
                     &mut log,
                 )?;
                 dispatch = report.dispatch;
@@ -258,7 +289,7 @@ impl Prepared {
                     plan.planned().plan.clone(),
                     Arc::clone(&self.provider),
                     self.config.distillation,
-                    cache.clone(),
+                    distillation_cache(),
                 )
                 .wait()
                 .map_err(ToorjahError::Execution)?;
@@ -268,7 +299,7 @@ impl Prepared {
                     &report.answers,
                     self.provider.as_ref(),
                     exec,
-                    &cache,
+                    cache.as_ref(),
                     &mut log,
                     &mut dispatch,
                 )?;
@@ -287,18 +318,20 @@ impl Prepared {
             .fetch_add(elapsed_ns, Ordering::Relaxed)
             .saturating_add(elapsed_ns);
         // Metrics are captured against the cache this execution actually
-        // used — the session cache, or the private per-execution one.
-        let metrics = self
-            .config
-            .exec
-            .obs
-            .snapshot()
-            .map(|snapshot| MetricsReport {
+        // used — the session cache, the private one of a distillation, or
+        // else the log.
+        let metrics = self.config.exec.obs.snapshot().map(|snapshot| {
+            let (cache, shards) = match &cache {
+                Some(cache) => (cache.stats(), cache.shard_counters()),
+                None => log_cache_counters(&log),
+            };
+            MetricsReport {
                 snapshot,
                 interner: toorjah_catalog::Interner::global().stats(),
-                cache: cache.stats(),
-                shards: cache.shard_counters(),
-            });
+                cache,
+                shards,
+            }
+        });
         Ok(Response {
             answers,
             rejected,
@@ -350,9 +383,8 @@ impl Prepared {
         }
     }
 
-    /// The cache an execution uses: the session cache the plan was
-    /// prepared with, or a fresh private one (the paper's per-query
-    /// meta-cache semantics).
+    /// The cache a distillation run shares extractions through: the
+    /// session cache the plan was prepared with, or a fresh private one.
     fn execution_cache(&self) -> SharedAccessCache {
         self.session_cache.clone().unwrap_or_else(|| {
             SharedAccessCache::with_obs(

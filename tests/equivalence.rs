@@ -118,12 +118,12 @@ fn check_scenario(seed: u64) -> bool {
             }
 
             // Property 3: soundness w.r.t. the unrestricted evaluation.
-            let full = evaluate_cq(&query, &|atom_idx| {
-                provider
-                    .instance()
-                    .full_extension(query.atoms()[atom_idx].relation())
-                    .to_vec()
-            });
+            let extensions: Vec<&[Tuple]> = query
+                .atoms()
+                .iter()
+                .map(|atom| provider.instance().full_extension(atom.relation()))
+                .collect();
+            let full = evaluate_cq(&query, &extensions);
             for answer in &report.answers {
                 assert!(
                     full.contains(answer),

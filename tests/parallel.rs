@@ -119,8 +119,9 @@ fn frontier_dispatch_is_invariant_across_parallelism_on_random_workloads() {
                 dispatch,
                 ..ExecOptions::default()
             };
-            let report = execute_plan_cached(&planned.plan, &provider, options, &cache, &mut log)
-                .expect("plan runs");
+            let report =
+                execute_plan_cached(&planned.plan, &provider, options, Some(&cache), &mut log)
+                    .expect("plan runs");
             runs.push((report, log.sequence().to_vec(), cache.stats()));
         }
         let (base, base_seq, base_cache) = &runs[0];
@@ -201,7 +202,7 @@ fn simulated_cost_counts_critical_path_round_trips() {
             dispatch: DispatchOptions::parallel(4).with_batch_size(8),
             ..ExecOptions::default()
         },
-        &cache,
+        Some(&cache),
         &mut log,
     )
     .unwrap();
@@ -230,8 +231,8 @@ fn parallel_dispatch_cuts_wall_clock_on_slow_sources() {
             ..ExecOptions::default()
         };
         let started = Instant::now();
-        let report =
-            execute_plan_cached(&planned.plan, &src, options, &cache, &mut log).expect("plan runs");
+        let report = execute_plan_cached(&planned.plan, &src, options, Some(&cache), &mut log)
+            .expect("plan runs");
         (started.elapsed(), report, log.cache_served(), cache.stats())
     };
 
@@ -275,7 +276,7 @@ fn mid_batch_failure_keeps_the_log_consistent() {
             dispatch: DispatchOptions::sequential().with_batch_size(4),
             ..ExecOptions::default()
         },
-        &cache,
+        Some(&cache),
         &mut log,
     )
     .unwrap_err();

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// The bench areas every PR must keep a trajectory snapshot for.
-const REQUIRED_AREAS: [&str; 9] = [
+const REQUIRED_AREAS: [&str; 8] = [
     "cache",
     "dispatch",
     "relevance",
@@ -29,7 +29,6 @@ const REQUIRED_AREAS: [&str; 9] = [
     "obs",
     "kernel",
     "server",
-    "magic",
 ];
 
 fn main() -> ExitCode {
@@ -128,29 +127,6 @@ fn check_area(root: &Path, area: &str) -> Result<String, String> {
             return Err(format!(
                 "semi-naive speedup guard: full-join median {full} ns is \
                  under 2x the delta-join median {semi} ns"
-            ));
-        }
-    }
-
-    // The magic area carries the demand-driven speedup guard: on the
-    // bound-reachability chain-120 workload, full evaluation plus answer
-    // filtering must stay at least 5× slower than the magic-sets rewrite —
-    // the headline claim of the `Magic` pruning tier.
-    if area == "magic" {
-        let median = |wanted: &str| {
-            snapshot
-                .benchmarks
-                .iter()
-                .find(|(n, _)| n == wanted)
-                .map(|&(_, m)| m)
-                .ok_or_else(|| format!("missing benchmark {wanted:?}"))
-        };
-        let runtime = median("runtime_bound_closure_120")?;
-        let magic = median("magic_bound_closure_120")?;
-        if runtime < magic.saturating_mul(5) {
-            return Err(format!(
-                "magic-sets speedup guard: full-evaluation median {runtime} ns \
-                 is under 5x the demand-driven median {magic} ns"
             ));
         }
     }

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// The event names the trace taxonomy can emit (`EventKind::name`).
-const KNOWN_EVENTS: [&str; 17] = [
+const KNOWN_EVENTS: [&str; 15] = [
     "round_start",
     "round_end",
     "access_requested",
@@ -45,8 +45,6 @@ const KNOWN_EVENTS: [&str; 17] = [
     "batch_coalesced",
     "fixpoint_reached",
     "delta_round",
-    "demand_seeded",
-    "rewrite_fallback",
     "request_accepted",
     "request_rejected",
     "request_completed",

@@ -59,18 +59,6 @@ pub struct CacheRelevance {
     /// cache: terminal, a query-atom (answer-rule) cache, not a constant
     /// source, and at least one input position has a partner.
     pub prunable: bool,
-    /// Per *column* of the cache relation (full arity, outputs included):
-    /// the semi-join partners of the variable at that column. The engine's
-    /// `Magic` tier uses this to suppress *extracted tuples* — not just
-    /// accesses — whose shared-variable value has no matching partner
-    /// tuple: the partners sit at strictly earlier ordering positions and
-    /// are final, and the cache is terminal, so such a tuple can never
-    /// participate in a satisfying assignment of the answer rule.
-    pub demand: Vec<Vec<SemijoinPartner>>,
-    /// `true` when the `Magic` tier can suppress derivations into this
-    /// cache: terminal, a query-atom cache, not a constant source, and at
-    /// least one column has a partner.
-    pub suppressible: bool,
 }
 
 /// Per-plan runtime-relevance metadata, one entry per cache.
@@ -144,24 +132,14 @@ impl PlanRelevance {
                         None => Vec::new(),
                     })
                     .collect();
-                let demand: Vec<Vec<SemijoinPartner>> = match literal_of[idx] {
-                    Some(lit) => lit.terms.iter().map(partners_of).collect(),
-                    None => Vec::new(),
-                };
                 let prunable = terminal
                     && !cache.is_constant_source
                     && literal_of[idx].is_some()
                     && semijoins.iter().any(|p| !p.is_empty());
-                let suppressible = terminal
-                    && !cache.is_constant_source
-                    && literal_of[idx].is_some()
-                    && demand.iter().any(|p| !p.is_empty());
                 CacheRelevance {
                     terminal,
                     semijoins,
                     prunable,
-                    demand,
-                    suppressible,
                 }
             })
             .collect();
@@ -176,11 +154,6 @@ impl PlanRelevance {
     /// Whether the pruner can act on any cache of the plan at all.
     pub fn any_prunable(&self) -> bool {
         self.caches.iter().any(|c| c.prunable)
-    }
-
-    /// Whether the `Magic` tier can suppress derivations into any cache.
-    pub fn any_suppressible(&self) -> bool {
-        self.caches.iter().any(|c| c.suppressible)
     }
 
     /// Indexes of the prunable caches.
@@ -257,29 +230,21 @@ mod tests {
 
     #[test]
     fn demand_partners_cover_output_columns() {
-        // A free relation has no input positions, so access pruning has
-        // nothing to filter — but its K *column* still shares a variable
-        // with the earlier gen cache, so the Magic tier can suppress
-        // extracted tuples whose K never appeared in gen.
+        // A free relation's K *column* shares a variable with the earlier
+        // gen cache, but partners are computed per input position only:
+        // a free relation has none, so its accesses have nothing to
+        // filter and it is terminal yet not prunable.
         let (plan, rel) = analyze("gen^o(K) out^oo(K, V)", "q(V) <- gen(K), out(K, V)");
         let out = plan
             .caches
             .iter()
             .position(|c| c.label == "out(1)")
             .unwrap();
-        let gen = plan
-            .caches
-            .iter()
-            .position(|c| c.label == "gen(1)")
-            .unwrap();
         let entry = rel.cache(out);
         assert!(entry.terminal);
+        assert!(entry.semijoins.is_empty(), "no input positions");
         assert!(!entry.prunable, "no input positions to filter");
-        assert!(entry.suppressible, "but extracted tuples can be suppressed");
-        assert_eq!(entry.demand.len(), 2, "one entry per column");
-        assert!(entry.demand[0].iter().any(|p| p.cache == gen));
-        assert!(entry.demand[1].is_empty(), "V is shared with nobody");
-        assert!(rel.any_suppressible());
+        assert!(!rel.any_prunable());
     }
 
     #[test]

@@ -274,6 +274,12 @@ impl fmt::Display for Program {
     }
 }
 
+/// Renders a bound/free mask in the classical notation (`b` = bound,
+/// `f` = free), e.g. `[true, false]` → `"bf"`.
+pub fn adornment_string(mask: &[bool]) -> String {
+    mask.iter().map(|&b| if b { 'b' } else { 'f' }).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,15 +45,8 @@ pub struct EvalStats {
     /// The entries sum to [`EvalStats::derived`], and the semi-naive
     /// invariant holds round by round: the delta is disjoint from the
     /// previous total, and delta ∪ total is closed under the rules applied
-    /// so far. (Under [`crate::evaluate_demand`] the entries describe the
-    /// rewritten program's run, whose `derived` is re-stated post-projection
-    /// — see there.)
+    /// so far.
     pub delta_sizes: Vec<usize>,
-    /// Demand (magic) facts derived — always `0` for the plain evaluators;
-    /// populated by [`crate::evaluate_demand`], where the demand facts are
-    /// bookkeeping rather than answers and are therefore reported here
-    /// instead of in [`EvalStats::derived`].
-    pub magic_facts: usize,
 }
 
 /// Evaluates `program` over the extensional facts in `edb`, returning the

@@ -18,9 +18,6 @@
 //! * [`evaluate`]: bottom-up **semi-naive** least-fixpoint evaluation, used
 //!   as the reference semantics the fast-failing executor is tested against
 //!   (the paper guarantees both compute the same answer);
-//! * [`magic_rewrite`] / [`evaluate_demand`]: magic-sets rewriting and
-//!   demand-driven evaluation for bound queries — only demanded tuples are
-//!   ever derived, through the same semi-naive machinery;
 //! * a pretty-printer matching the paper's rule notation.
 
 #![warn(missing_docs)]
@@ -28,19 +25,14 @@
 mod ast;
 mod error;
 mod eval;
-mod rewrite;
 mod search;
 mod store;
 
-pub use ast::{DTerm, Literal, PredId, Predicate, Program, Rule};
+pub use ast::{adornment_string, DTerm, Literal, PredId, Predicate, Program, Rule};
 pub use error::DatalogError;
 pub use eval::{
     evaluate, evaluate_full_join, evaluate_with_obs, rule_body_satisfiable, rule_head_instances,
     rule_head_instances_pinned, EvalStats,
-};
-pub use rewrite::{
-    adornment_string, evaluate_demand, evaluate_demand_with_obs, magic_rewrite, AdornedPred,
-    MagicRewrite, RewriteError,
 };
 pub use search::{head_instances, satisfiable, Goal, Search};
 pub use store::{Candidates, Extent, FactStore};

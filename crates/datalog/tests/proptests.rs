@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use toorjah_catalog::{Tuple, Value};
 use toorjah_datalog::{
-    evaluate, evaluate_demand, evaluate_full_join, rule_body_satisfiable, rule_head_instances,
-    DTerm, FactStore, Literal, PredId, Program, Rule,
+    evaluate, evaluate_full_join, rule_body_satisfiable, rule_head_instances, DTerm, FactStore,
+    Literal, PredId, Program, Rule,
 };
 
 /// Naive reference evaluator: apply every rule to (EDB ∪ IDB) until nothing
@@ -149,42 +149,6 @@ proptest! {
                 prop_assert!(big.contains(p, t), "lost fact {} on seed {}", t, seed);
             }
         }
-    }
-
-    /// The magic-sets rewrite is answer-preserving on every random program:
-    /// demand-driven evaluation of a bound query returns exactly the facts
-    /// of the full fixpoint that match the bindings, never deriving more
-    /// facts than the unrestricted run.
-    #[test]
-    fn demand_evaluation_equals_filtered_fixpoint(seed in 0u64..50_000) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let (program, e, preds) = random_program(seed);
-        let edb = random_edb(seed, e);
-        let (full, full_stats) = evaluate(&program, &edb);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x4D41_4749);
-        let query = preds[rng.gen_range(0..preds.len())];
-        let bound = Value::from(rng.gen_range(0..6i64));
-        let bindings = [Some(bound), None];
-        let (demand, stats) = evaluate_demand(&program, &edb, query, &bindings)
-            .expect("random linear programs admit a magic rewrite");
-        let expected: Vec<Tuple> = full
-            .tuples(query)
-            .iter()
-            .filter(|t| t.values()[0] == bound)
-            .cloned()
-            .collect();
-        prop_assert_eq!(
-            sorted(demand.tuples(query).to_vec()),
-            sorted(expected),
-            "demanded answers diverge from the filtered fixpoint on seed {}",
-            seed
-        );
-        prop_assert!(
-            stats.derived <= full_stats.derived,
-            "demand derived more facts ({} > {}) on seed {}",
-            stats.derived, full_stats.derived, seed
-        );
     }
 
     /// Every derived fact is supported by some rule body over the final

@@ -120,11 +120,6 @@ pub struct DispatchReport {
     /// [`DispatchReport::frontier_sizes`] (all zeros when pruning is
     /// disabled).
     pub pruned_per_frontier: Vec<usize>,
-    /// Extracted tuples the `Magic` tier's demand filter kept out of
-    /// terminal caches — derivations whose shared-variable value provably
-    /// cannot join the answer rule. Always zero below
-    /// `PruningLevel::Magic`.
-    pub derivations_suppressed: usize,
     /// The semi-naive delta schedule: fresh frontier entries per evaluator
     /// fixpoint step (one entry per step, including the barren step's `0`)
     /// and per standalone round. Frontiers enumerate only binding
@@ -157,7 +152,6 @@ impl DispatchReport {
         self.accesses_pruned += other.accesses_pruned;
         self.pruned_per_frontier
             .extend_from_slice(&other.pruned_per_frontier);
-        self.derivations_suppressed += other.derivations_suppressed;
         self.delta_schedule.extend_from_slice(&other.delta_schedule);
     }
 
@@ -171,9 +165,6 @@ impl DispatchReport {
         );
         if self.accesses_pruned > 0 {
             out.push_str(&format!(", {} pruned", self.accesses_pruned));
-        }
-        if self.derivations_suppressed > 0 {
-            out.push_str(&format!(", {} suppressed", self.derivations_suppressed));
         }
         if !self.delta_schedule.is_empty() {
             out.push_str(", deltas [");

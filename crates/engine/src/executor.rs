@@ -14,7 +14,7 @@
 //! 3. each pass collects a cache's fresh bindings — the pivot decomposition
 //!    over its domain pools, shared with the naive evaluator through
 //!    [`crate::kernel::fresh_bindings`] — and hands them to the kernel,
-//!    which (at [`PruningLevel::Runtime`] and above) drops accesses whose
+//!    which (at [`PruningLevel::Runtime`]) drops accesses whose
 //!    outputs provably cannot reach the query head and dispatches the rest;
 //!    the access log, the execution's meta-cache, serves every access
 //!    already made, so no access is ever repeated — or, through
@@ -44,7 +44,7 @@ use toorjah_cache::SharedAccessCache;
 use toorjah_catalog::{AccessKey, FastMap, FastSet, RelationId, Tuple, Value};
 use toorjah_core::{DomainMode, QueryPlan};
 use toorjah_datalog::{rule_body_satisfiable, rule_head_instances, FactStore, Rule};
-use toorjah_obs::{EventKind, Obs};
+use toorjah_obs::Obs;
 
 use crate::kernel::{fresh_bindings, Kernel, PoolView, RelevancePruner};
 use crate::{
@@ -54,7 +54,7 @@ use crate::{
 
 /// How aggressively an execution avoids provably useless work. The tiers
 /// are totally ordered — each level includes everything below it — so each
-/// tier's savings is independently benchmarkable (`benches/magic.rs`).
+/// tier's savings is independently benchmarkable (`benches/relevance.rs`).
 ///
 /// * [`PruningLevel::Off`] — no relevance reasoning at all. The engine
 ///   treats it like `Static` (plan interpretation cannot un-minimize a
@@ -68,14 +68,6 @@ use crate::{
 ///   provably cannot reach the query head are dropped (conservative
 ///   semi-join reachability over the plan's dependency arcs). Answers are
 ///   invariant; `accesses_performed` drops.
-/// * [`PruningLevel::Magic`] — adds demand-driven suppression of
-///   *derivations*: extracted tuples entering a terminal cache are kept
-///   only when every answer-rule variable they share with a fully
-///   populated earlier cache has a matching partner tuple — the
-///   magic-sets discipline (`toorjah_datalog::magic_rewrite`) applied at
-///   the executor's fold stage. Answers are invariant; cache sizes and
-///   downstream join work drop, counted as
-///   [`DispatchReport::derivations_suppressed`].
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum PruningLevel {
     /// No relevance reasoning, not even plan-time minimization.
@@ -85,18 +77,15 @@ pub enum PruningLevel {
     Static,
     /// `Static` plus runtime access-relevance pruning.
     Runtime,
-    /// `Runtime` plus demand-driven derivation suppression.
-    Magic,
 }
 
 impl PruningLevel {
-    /// The stable lowercase name (`off`, `static`, `runtime`, `magic`).
+    /// The stable lowercase name (`off`, `static`, `runtime`).
     pub fn name(self) -> &'static str {
         match self {
             PruningLevel::Off => "off",
             PruningLevel::Static => "static",
             PruningLevel::Runtime => "runtime",
-            PruningLevel::Magic => "magic",
         }
     }
 }
@@ -115,9 +104,8 @@ impl std::str::FromStr for PruningLevel {
             "off" => Ok(PruningLevel::Off),
             "static" => Ok(PruningLevel::Static),
             "runtime" => Ok(PruningLevel::Runtime),
-            "magic" => Ok(PruningLevel::Magic),
             other => Err(format!(
-                "unknown pruning level '{other}' (expected off|static|runtime|magic)"
+                "unknown pruning level '{other}' (expected off|static|runtime)"
             )),
         }
     }
@@ -292,14 +280,6 @@ pub fn execute_plan_cached(
     } else {
         None
     };
-    let demand = options.prune_level >= PruningLevel::Magic;
-    if demand {
-        // The demand seeds are the plan's bound constants — the artificial
-        // constant relations every derivation chain starts from.
-        options.obs.trace(0, || EventKind::DemandSeeded {
-            seeds: plan.constant_facts.len(),
-        });
-    }
     // Semi-naive frontier per cache and input position: the values already
     // used in bindings for that position. A population pass enumerates only
     // binding combinations containing at least one *new* value, so every
@@ -314,10 +294,6 @@ pub fn execute_plan_cached(
                 .collect()
         })
         .collect();
-
-    // Distinct tuples the Magic tier kept out of their caches, across the
-    // whole run (unused below Magic; see `populate_cache`).
-    let mut suppressed_store = FactStore::new();
 
     // With first-k, answers are accumulated incrementally after each kernel
     // round; `early_answers` holds the truncated set once `k` are certain.
@@ -352,8 +328,6 @@ pub fn execute_plan_cached(
                         &mut facts,
                         &mut frontiers[cache_idx],
                         pruner.as_ref(),
-                        demand,
-                        &mut suppressed_store,
                         kernel,
                     )?;
                 }
@@ -607,7 +581,6 @@ fn stage_new_values(
 /// change them) go through the kernel's filter → dispatch stages, and the
 /// extractions are folded into the fact store in frontier order. Answers
 /// are bit-identical to one-at-a-time dispatch; only wall-clock differs.
-#[allow(clippy::too_many_arguments)]
 fn populate_cache(
     plan: &QueryPlan,
     cache_idx: usize,
@@ -615,8 +588,6 @@ fn populate_cache(
     facts: &mut FactStore,
     frontier: &mut [PoolFrontier],
     pruner: Option<&RelevancePruner>,
-    demand: bool,
-    suppressed_store: &mut FactStore,
     kernel: &mut Kernel<'_>,
 ) -> Result<bool, EngineError> {
     let cache = &plan.caches[cache_idx];
@@ -685,32 +656,10 @@ fn populate_cache(
         }
         None => kernel.round(&requests, None)?,
     };
-    // The Magic tier's fold-stage filter: an extracted tuple enters a
-    // terminal cache only when every column value it shares with a fully
-    // populated earlier answer-rule cache has a matching partner tuple —
-    // otherwise the tuple provably cannot complete a satisfying assignment
-    // of the answer rule and (the cache being terminal) feeds nothing
-    // else, so suppressing the derivation is answer-preserving.
-    let suppressor = pruner.filter(|p| demand && p.cache_suppressible(cache_idx));
-    let mut suppressed = 0usize;
     for tuples in &extractions {
         for t in tuples.iter() {
-            if let Some(p) = suppressor {
-                if !p.demand_keep(cache_idx, t, facts) {
-                    // The side store dedups re-extractions across fixpoint
-                    // rounds: each distinct suppressed derivation counts
-                    // once, mirroring the insert-side dedup of `facts`.
-                    if suppressed_store.insert(cache.cache_pred, t.clone()) {
-                        suppressed += 1;
-                    }
-                    continue;
-                }
-            }
             changed |= facts.insert(cache.cache_pred, t.clone());
         }
-    }
-    if suppressed > 0 {
-        kernel.note_suppressed(suppressed);
     }
 
     // Advance the frontier.
@@ -1125,72 +1074,19 @@ mod pruning_tests {
     fn pruning_levels_are_ordered_and_parse() {
         assert!(PruningLevel::Off < PruningLevel::Static);
         assert!(PruningLevel::Static < PruningLevel::Runtime);
-        assert!(PruningLevel::Runtime < PruningLevel::Magic);
         assert_eq!(PruningLevel::default(), PruningLevel::Static);
         for level in [
             PruningLevel::Off,
             PruningLevel::Static,
             PruningLevel::Runtime,
-            PruningLevel::Magic,
         ] {
             assert_eq!(level.name().parse::<PruningLevel>().unwrap(), level);
             assert_eq!(level.to_string(), level.name());
         }
-        assert!("verymagic".parse::<PruningLevel>().is_err());
-    }
-
-    #[test]
-    fn magic_suppresses_undemanded_derivations() {
-        // A free relation extracts every tuple in one access; only the
-        // keys gen actually demanded may enter the terminal cache. The
-        // answers are identical, the cache (and the join work downstream
-        // of it) shrinks, and the suppressions are counted.
-        let schema = Schema::parse("gen^o(K) out^oo(K, V)").unwrap();
-        let mut db = Instance::new(&schema);
-        for i in 0..5 {
-            db.insert("gen", tuple![format!("k{i}")]).unwrap();
+        for bogus in ["verymagic", "magic"] {
+            let err = bogus.parse::<PruningLevel>().unwrap_err();
+            assert!(err.contains("off|static|runtime"), "{err}");
         }
-        for i in 0..10 {
-            db.insert("out", tuple![format!("k{i}"), format!("v{i}")])
-                .unwrap();
-        }
-        let src = InstanceSource::new(schema.clone(), db);
-        let q = parse_query("q(V) <- gen(K), out(K, V)", &schema).unwrap();
-        let planned = plan_query(&q, &schema).unwrap();
-        let runtime = execute_plan(
-            &planned.plan,
-            &src,
-            ExecOptions {
-                prune_level: PruningLevel::Runtime,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        let magic = execute_plan(
-            &planned.plan,
-            &src,
-            ExecOptions {
-                prune_level: PruningLevel::Magic,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        let mut a = runtime.answers.clone();
-        let mut b = magic.answers.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "answers are invariant under suppression");
-        assert_eq!(magic.answers.len(), 5);
-        assert_eq!(runtime.dispatch.derivations_suppressed, 0);
-        assert_eq!(magic.dispatch.derivations_suppressed, 5);
-        assert!(
-            magic.cache_sizes.iter().sum::<usize>() < runtime.cache_sizes.iter().sum::<usize>(),
-            "the terminal cache holds only demanded tuples"
-        );
-        assert_eq!(
-            magic.stats.total_accesses, runtime.stats.total_accesses,
-            "suppression acts after extraction, not on accesses"
-        );
     }
 
     #[test]

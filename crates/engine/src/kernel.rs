@@ -55,7 +55,6 @@ struct KernelMetrics {
     rounds: Arc<Counter>,
     requested: Arc<Counter>,
     pruned: Arc<Counter>,
-    suppressed: Arc<Counter>,
     round_us: Arc<Histogram>,
     delta_size: Arc<Histogram>,
 }
@@ -67,7 +66,6 @@ impl KernelMetrics {
             rounds: registry.counter("kernel.rounds"),
             requested: registry.counter("kernel.accesses_requested"),
             pruned: registry.counter("kernel.accesses_pruned"),
-            suppressed: registry.counter("kernel.derivations_suppressed"),
             round_us: registry.histogram("kernel.round_us"),
             delta_size: registry.histogram("kernel.delta_size"),
         })
@@ -224,16 +222,6 @@ impl<'a> Kernel<'a> {
         Ok(dispatched)
     }
 
-    /// Records `n` derivations the Magic tier's demand filter kept out of a
-    /// terminal cache, in the dispatch report and the
-    /// `kernel.derivations_suppressed` counter.
-    pub(crate) fn note_suppressed(&mut self, n: usize) {
-        self.report.derivations_suppressed += n;
-        if let Some(m) = &self.metrics {
-            m.suppressed.add(n as u64);
-        }
-    }
-
     /// The round-loop driver: calls `step` (with the 1-based round number)
     /// until it reports no change, and returns the number of rounds
     /// executed — including the final barren round that confirmed the
@@ -338,45 +326,19 @@ pub(crate) struct RelevancePruner<'p> {
 
 impl<'p> RelevancePruner<'p> {
     /// The pruner for a plan, or `None` when the metadata shows nothing is
-    /// ever prunable — by the access filter or the Magic tier's demand
-    /// filter (the filter stages then cost strictly nothing).
+    /// ever prunable (the filter stage then costs strictly nothing).
     pub(crate) fn for_plan(plan: &'p QueryPlan, obs: Obs) -> Option<Self> {
-        (plan.relevance.any_prunable() || plan.relevance.any_suppressible()).then(|| {
-            RelevancePruner {
-                relevance: &plan.relevance,
-                counters: obs
-                    .registry()
-                    .map(|r| (r.counter("relevance.probes"), r.counter("relevance.pruned"))),
-            }
+        plan.relevance.any_prunable().then(|| RelevancePruner {
+            relevance: &plan.relevance,
+            counters: obs
+                .registry()
+                .map(|r| (r.counter("relevance.probes"), r.counter("relevance.pruned"))),
         })
     }
 
     /// Whether accesses collected for this cache can ever be pruned.
     pub(crate) fn cache_prunable(&self, cache_idx: usize) -> bool {
         self.relevance.cache(cache_idx).prunable
-    }
-
-    /// Whether the Magic tier can suppress derivations into this cache.
-    pub(crate) fn cache_suppressible(&self, cache_idx: usize) -> bool {
-        self.relevance.cache(cache_idx).suppressible
-    }
-
-    /// `true` when the extracted tuple may enter the (terminal) cache:
-    /// every column value shared with a fully populated earlier
-    /// answer-rule cache has a matching partner tuple. A failed probe
-    /// proves the tuple cannot complete a satisfying assignment of the
-    /// answer rule — the Magic tier's demand test at the fold stage.
-    pub(crate) fn demand_keep(&self, cache_idx: usize, tuple: &Tuple, facts: &FactStore) -> bool {
-        let demand = &self.relevance.cache(cache_idx).demand;
-        debug_assert_eq!(demand.len(), tuple.values().len());
-        for (value, partners) in tuple.values().iter().zip(demand) {
-            for partner in partners {
-                if !facts.has_matching(partner.pred, partner.column, value) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// `true` when the access must be dispatched: every semi-join partner

@@ -24,9 +24,8 @@
 //!   round-based loop — collect frontier → runtime relevance filter →
 //!   dispatch → fold, iterated to a fixpoint — that every evaluator is a
 //!   thin strategy configuration over, including the
-//!   [`PruningLevel`]-gated stages — runtime access pruning (`Runtime`)
-//!   dropping accesses whose outputs provably cannot reach the query head,
-//!   and demand-driven derivation suppression (`Magic`) — plus the
+//!   [`PruningLevel`]-gated runtime access pruning (`Runtime`) dropping
+//!   accesses whose outputs provably cannot reach the query head — plus the
 //!   opt-in [`first-k`](crate::ExecOptions::first_k) early termination;
 //! * [`naive_evaluate`]: the Fig. 1 algorithm (after [Li & Chang 2000]) that
 //!   accesses *every* relation of the schema with *every* domain-compatible

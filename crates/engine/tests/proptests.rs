@@ -133,31 +133,6 @@ fn check_scenario(seed: u64) -> bool {
         );
     }
 
-    // The Magic tier (demand-driven derivation suppression on top of
-    // runtime access pruning) is also answer-invariant; it never performs
-    // more accesses and never grows a cache beyond the unpruned run's.
-    let (magic, _magic_log) = run(
-        &planned.plan,
-        &provider,
-        ExecOptions {
-            prune_level: PruningLevel::Magic,
-            ..ExecOptions::default()
-        },
-    );
-    assert_eq!(
-        sorted(magic.answers.clone()),
-        sorted(naive.answers.clone()),
-        "magic tier vs naive oracle differ for {} on seed {seed}",
-        query.display(&generated.schema),
-    );
-    assert!(
-        magic.stats.total_accesses <= base.stats.total_accesses,
-        "magic tier increased accesses on seed {seed}"
-    );
-    for (m, b) in magic.cache_sizes.iter().zip(&base.cache_sizes) {
-        assert!(m <= b, "magic tier grew a cache ({m} > {b}) on seed {seed}");
-    }
-
     // Parallel dispatch (threads > 1) is a scheduling change only: answers
     // and the access *multiset* per relation match the sequential kernel,
     // and the delta schedule still partitions the dispatched accesses.

@@ -126,20 +126,6 @@ pub enum EventKind {
         /// Wall-clock from admission to response, microseconds.
         micros: u64,
     },
-    /// A demand-driven (magic) execution began: the derivation was seeded
-    /// with `seeds` bound constants, so only tuples the seeds transitively
-    /// demand will be derived.
-    DemandSeeded {
-        /// Number of bound seed constants.
-        seeds: usize,
-    },
-    /// A statement could not be evaluated demand-driven (e.g. it recurses
-    /// through negation) and fell back to the named pruning level instead
-    /// of silently mis-evaluating.
-    RewriteFallback {
-        /// The pruning level the execution fell back to (`"runtime"`).
-        level: Symbol,
-    },
 }
 
 impl EventKind {
@@ -161,8 +147,6 @@ impl EventKind {
             EventKind::RequestAccepted { .. } => "request_accepted",
             EventKind::RequestRejected { .. } => "request_rejected",
             EventKind::RequestCompleted { .. } => "request_completed",
-            EventKind::DemandSeeded { .. } => "demand_seeded",
-            EventKind::RewriteFallback { .. } => "rewrite_fallback",
         }
     }
 
@@ -183,9 +167,7 @@ impl EventKind {
             | EventKind::DeltaRound { .. }
             | EventKind::RequestAccepted { .. }
             | EventKind::RequestRejected { .. }
-            | EventKind::RequestCompleted { .. }
-            | EventKind::DemandSeeded { .. }
-            | EventKind::RewriteFallback { .. } => None,
+            | EventKind::RequestCompleted { .. } => None,
         }
     }
 
@@ -279,13 +261,6 @@ impl TraceEvent {
             EventKind::RequestRejected { retry_after_ms, .. } => {
                 write!(out, ",\"retry_after_ms\":{retry_after_ms}")
                     .expect("writing to a String cannot fail");
-            }
-            EventKind::DemandSeeded { seeds } => {
-                write!(out, ",\"seeds\":{seeds}").expect("writing to a String cannot fail");
-            }
-            EventKind::RewriteFallback { level } => {
-                out.push_str(",\"level\":");
-                push_json_string(out, level.as_str());
             }
             _ => {}
         }
@@ -415,10 +390,6 @@ mod tests {
                 tenant: Symbol::intern("t0"),
                 verb: Symbol::intern("execute"),
                 micros: 0,
-            },
-            EventKind::DemandSeeded { seeds: 0 },
-            EventKind::RewriteFallback {
-                level: Symbol::intern("runtime"),
             },
         ];
         let names: std::collections::HashSet<&str> = kinds.iter().map(EventKind::name).collect();

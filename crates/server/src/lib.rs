@@ -33,5 +33,5 @@ pub mod wire;
 pub use admission::{Admission, Admit, Permit};
 pub use client::{reply_answers, reply_error_code, reply_number, reply_ok, WireClient};
 pub use registry::{normalize, StatementRegistry};
-pub use server::{Server, Service, ServiceConfig, DEFAULT_TENANT_BUDGET};
+pub use server::{Server, Service, ServiceConfig, DEFAULT_TENANT_BUDGET, MAX_REQUEST_LINE};
 pub use session::{SessionRegistry, SessionSnapshot};

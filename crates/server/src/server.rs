@@ -25,10 +25,11 @@
 //! they are on, new requests get the `shutting_down` error, and
 //! [`Server::run`] joins every connection thread before returning.
 
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use toorjah_catalog::Symbol;
@@ -441,6 +442,12 @@ pub struct Server {
 /// draining flag. Bounds shutdown latency without busy-waiting.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// The longest request line a connection buffers, newline excluded. A
+/// client that sends more without a newline gets one `malformed_request`
+/// reply and the connection is closed, so a peer that never ends its line
+/// cannot grow the server's buffer without limit.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port; read it back with
     /// [`Server::local_addr`]).
@@ -480,6 +487,7 @@ impl Server {
             if self.service.is_draining() {
                 break;
             }
+            reap_finished(&mut connections);
             let service = Arc::clone(&self.service);
             connections.push(std::thread::spawn(move || {
                 let _ = serve_connection(stream, &service, addr);
@@ -493,10 +501,24 @@ impl Server {
     }
 }
 
+/// Joins the connection threads that have already returned, so a
+/// long-lived daemon holds handles only for the connections still open.
+fn reap_finished(connections: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < connections.len() {
+        if connections[i].is_finished() {
+            let _ = connections.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
 /// One connection's line loop: read a request line, write the response
-/// line, until EOF or drain. The read timeout keeps the loop responsive to
-/// a drain initiated on another connection; the dummy self-connect at the
-/// end wakes the accept loop out of `incoming()`.
+/// line, until EOF, drain, or a line longer than [`MAX_REQUEST_LINE`]. The
+/// read timeout keeps the loop responsive to a drain initiated on another
+/// connection; the dummy self-connect at the end wakes the accept loop out
+/// of `incoming()`.
 fn serve_connection(
     stream: TcpStream,
     service: &Service,
@@ -507,8 +529,19 @@ fn serve_connection(
     let mut writer = stream;
     let mut buf: Vec<u8> = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut buf) {
+        // Buffer at most the cap plus the newline: one more byte without
+        // one proves the line too long.
+        let room = (MAX_REQUEST_LINE + 1).saturating_sub(buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) => break,
+            Ok(_) if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') => {
+                let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                let mut reply = wire::error_line(None, ErrorCode::MalformedRequest, &message, None);
+                reply.push('\n');
+                writer.write_all(reply.as_bytes())?;
+                writer.flush()?;
+                break;
+            }
             Ok(_) => {
                 let line = String::from_utf8_lossy(&buf).into_owned();
                 let line = line.trim_end_matches(['\n', '\r']);
@@ -663,5 +696,26 @@ mod tests {
             reply.matches('}').count(),
             "{reply}"
         );
+    }
+
+    #[test]
+    fn reap_finished_joins_only_returned_threads() {
+        let (release, blocked) = std::sync::mpsc::channel::<()>();
+        let done = std::thread::spawn(|| {});
+        let open = std::thread::spawn(move || {
+            let _ = blocked.recv();
+        });
+        while !done.is_finished() {
+            std::thread::yield_now();
+        }
+        let mut connections = vec![done, open];
+        reap_finished(&mut connections);
+        assert_eq!(connections.len(), 1, "the open thread is kept");
+        release.send(()).unwrap();
+        while !connections[0].is_finished() {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut connections);
+        assert!(connections.is_empty());
     }
 }

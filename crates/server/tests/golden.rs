@@ -78,7 +78,6 @@ fn golden_execute() {
          \"total_accesses\":2,\"per_relation\":{{\"r1\":{{\"accesses\":1,\"extracted\":1}},\
          \"r2\":{{\"accesses\":1,\"extracted\":1}}}},\"dispatch\":{{\"frontiers\":2,\
          \"largest_frontier\":1,\"batches\":2,\"total_requested\":2,\"accesses_pruned\":0,\
-         \"derivations_suppressed\":0,\
          \"pruned_per_frontier\":[0,0],\"delta_schedule\":[0,0,1,0,1,0]}},\
          \"timings_us\":{{\"parse\":null,\"plan\":null,",
         toorjah_server::DEFAULT_TENANT_BUDGET - 2,

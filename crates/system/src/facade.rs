@@ -176,28 +176,14 @@ impl ToorjahBuilder {
     /// | `off`     | nothing — plans with strong-arc analysis disabled  |
     /// | `static`  | plan-time relevance (the default)                  |
     /// | `runtime` | kernel access-relevance pruning before dispatch    |
-    /// | `magic`   | demand-driven derivation suppression at the fold   |
     ///
     /// Answers are invariant across every level; `accesses_performed`
-    /// drops from `runtime` up (surfaced as
-    /// `profile.dispatch.accesses_pruned`) and derived-tuple counts drop
-    /// at `magic` (surfaced as `profile.dispatch.derivations_suppressed`).
-    /// Ignored by the streaming executor.
+    /// drops at `runtime` (surfaced as
+    /// `profile.dispatch.accesses_pruned`). Ignored by the streaming
+    /// executor.
     pub fn prune_level(mut self, level: PruningLevel) -> Self {
         self.config.exec.prune_level = level;
         self
-    }
-
-    /// Deprecated boolean alias for [`ToorjahBuilder::prune_level`]:
-    /// `true` ≙ [`PruningLevel::Runtime`], `false` ≙
-    /// [`PruningLevel::Static`] (the default).
-    #[deprecated(note = "use prune_level(PruningLevel::…) instead")]
-    pub fn pruning(self, enabled: bool) -> Self {
-        self.prune_level(if enabled {
-            PruningLevel::Runtime
-        } else {
-            PruningLevel::Static
-        })
     }
 
     /// Opt-in first-k early termination: executions stop as soon as `k`

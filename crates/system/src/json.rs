@@ -21,7 +21,7 @@
 //!     "per_relation": {"r1": {"accesses": 1, "extracted": 1}},
 //!     "dispatch": {"frontiers": 2, "largest_frontier": 1,
 //!                  "batches": 2, "total_requested": 2,
-//!                  "accesses_pruned": 0, "derivations_suppressed": 0,
+//!                  "accesses_pruned": 0,
 //!                  "pruned_per_frontier": [0, 0],
 //!                  "delta_schedule": [1, 1]},
 //!     "timings_us": {"parse": 10, "plan": 120, "execute": 80,
@@ -124,14 +124,12 @@ impl Response {
         let _ = write!(
             out,
             ",\"dispatch\":{{\"frontiers\":{},\"largest_frontier\":{},\
-             \"batches\":{},\"total_requested\":{},\"accesses_pruned\":{},\
-             \"derivations_suppressed\":{}",
+             \"batches\":{},\"total_requested\":{},\"accesses_pruned\":{}",
             p.dispatch.frontiers(),
             p.dispatch.largest_frontier(),
             p.dispatch.batches,
             p.dispatch.total_requested(),
             p.dispatch.accesses_pruned,
-            p.dispatch.derivations_suppressed,
         );
         out.push_str(",\"pruned_per_frontier\":[");
         for (i, pruned) in p.dispatch.pruned_per_frontier.iter().enumerate() {
@@ -238,7 +236,6 @@ mod tests {
         assert!(json.contains("\"prune_level\":\"static\""), "{json}");
         assert!(json.contains("\"accesses_performed\":2"), "{json}");
         assert!(json.contains("\"accesses_pruned\":0"), "{json}");
-        assert!(json.contains("\"derivations_suppressed\":0"), "{json}");
         assert!(json.contains("\"pruned_per_frontier\":["), "{json}");
         // One delta entry per fixpoint step: positions with no caches flush
         // a bare 0, each populated cache contributes its dispatch step (1

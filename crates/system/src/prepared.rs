@@ -18,9 +18,8 @@ use toorjah_cache::{CacheStats, ShardCounters, SharedAccessCache};
 use toorjah_core::Planned;
 use toorjah_engine::{
     execute_plan_cached, execute_union_cached, negation_checks, AccessLog, DispatchOptions,
-    DispatchReport, NegatedPlan, PruningLevel, SourceProvider,
+    DispatchReport, NegatedPlan, SourceProvider,
 };
-use toorjah_obs::EventKind;
 use toorjah_query::Statement;
 
 use crate::facade::{Toorjah, ToorjahConfig, ToorjahError};
@@ -398,22 +397,8 @@ impl Prepared {
     /// one-access-per-round-trip dispatch, `Parallel` substitutes its own,
     /// `Streaming` leaves the configured dispatch for any frontier work
     /// outside the distillation executor (negation checks).
-    ///
-    /// Negated statements refuse [`PruningLevel::Magic`]: the demand
-    /// filter reasons over a *positive* answer rule, and recursion through
-    /// negation is exactly the case magic-sets rewriting is unsound for —
-    /// so the execution falls back to [`PruningLevel::Runtime`] and says
-    /// so with a `rewrite_fallback` trace event rather than silently
-    /// mis-evaluating. The response profile reports the effective level.
     fn exec_options(&self, mode: ExecMode) -> toorjah_engine::ExecOptions {
         let mut exec = self.config.exec;
-        if exec.prune_level == PruningLevel::Magic && matches!(self.kind, PreparedKind::Negated(_))
-        {
-            exec.prune_level = PruningLevel::Runtime;
-            exec.obs.trace(0, || EventKind::RewriteFallback {
-                level: toorjah_catalog::Symbol::intern(PruningLevel::Runtime.name()),
-            });
-        }
         exec.dispatch = match mode {
             ExecMode::Sequential => DispatchOptions::sequential(),
             ExecMode::Parallel(d) => d,

@@ -85,9 +85,7 @@ pub struct ExecutionProfile {
     pub statement: StatementKind,
     /// The execution mode.
     pub mode: ExecMode,
-    /// The pruning level the execution effectively ran at. Usually the
-    /// configured [`toorjah_engine::PruningLevel`]; a negated statement
-    /// configured at `Magic` reports the `Runtime` level it fell back to.
+    /// The configured [`toorjah_engine::PruningLevel`] the execution ran at.
     pub prune_level: toorjah_engine::PruningLevel,
     /// Access counters — the paper's cost metric (accesses actually
     /// performed against the sources, per relation).

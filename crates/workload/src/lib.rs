@@ -16,10 +16,6 @@
 //! * [`sparse`]: the high-irrelevance star-join workload for the engine's
 //!   runtime relevance pruning — statically every access is needed, at
 //!   runtime most provably cannot reach the query head;
-//! * [`bound`]: the bound-reachability workload for demand-driven (magic
-//!   sets) Datalog evaluation — a left-linear transitive closure whose
-//!   full fixpoint dwarfs the bound query's answer set by a tunable
-//!   fan-out factor;
 //! * [`mod@traffic`]: multi-tenant streams for the query service — N tenants ×
 //!   M overlapping statements in a seeded mix, replayed by the server load
 //!   test and the CI daemon smoke step.
@@ -29,14 +25,12 @@
 
 #![warn(missing_docs)]
 
-pub mod bound;
 pub mod overlapping;
 pub mod publications;
 pub mod random;
 pub mod sparse;
 pub mod traffic;
 
-pub use bound::{bound_closure, BoundConfig, BoundWorkload};
 pub use overlapping::{
     music_instance, music_schema, overlapping_queries, MusicConfig, OverlapParams,
 };

@@ -18,13 +18,11 @@
 //! `--parallelism <n>` fans each round's access frontier out over `n`
 //! worker threads; `--batch-size <n>` groups up to `n` accesses per source
 //! round trip. Answers and access counts are invariant in both — only
-//! wall-clock changes. `--prune-level <off|static|runtime|magic>` selects
-//! the pruning tier (answers invariant at every level): `off` disables
-//! the planner's static strong-arc pruning, `static` is the default,
-//! `runtime` adds the kernel's access-relevance pruner, `magic` adds
-//! demand-driven derivation suppression on top. `--prune` is a deprecated
-//! alias for `--prune-level runtime`. `--first-k <n>` stops as soon as
-//! `n` answers are certain.
+//! wall-clock changes. `--prune-level <off|static|runtime>` selects the
+//! pruning tier (answers invariant at every level): `off` disables the
+//! planner's static strong-arc pruning, `static` is the default, `runtime`
+//! adds the kernel's access-relevance pruner. `--first-k <n>` stops as
+//! soon as `n` answers are certain.
 //! `--json` emits the full `Response` (answers plus the
 //! `ExecutionProfile`: access stats, cache attribution, dispatch account
 //! incl. pruned-access counters, phase timings) as one JSON object on
@@ -71,7 +69,7 @@ use toorjah::server::{Server, Service, ServiceConfig};
 use toorjah::system::Toorjah;
 
 const USAGE: &str = "usage: toorjah <source-file> [--parallelism <n>] [--batch-size <n>] \
-                     [--prune-level <off|static|runtime|magic>] [--first-k <n>] [--json] \
+                     [--prune-level <off|static|runtime>] [--first-k <n>] [--json] \
                      [--trace[=<path>]] [--metrics] \
                      [--query <q> | --explain <q> | --naive <q>]\n\
                      \x20      toorjah serve <source-file> [--addr <host:port>] \
@@ -94,8 +92,7 @@ fn main() -> ExitCode {
         eprintln!(
             "--parallelism <n>  fan each access frontier out over n worker threads\n\
              --batch-size <n>   group up to n accesses per source round trip\n\
-             --prune-level <l>  pruning tier: off | static (default) | runtime | magic\n\
-             --prune            deprecated alias for --prune-level runtime\n\
+             --prune-level <l>  pruning tier: off | static (default) | runtime\n\
              --first-k <n>      stop as soon as n answers are certain\n\
              --json             emit the full response (answers + execution profile) as JSON\n\
              --trace[=<path>]   export per-access trace events as JSON lines (stderr, or <path>)\n\
@@ -144,7 +141,6 @@ fn main() -> ExitCode {
                 mode = Some((flag, q));
             }
             "--json" => json = true,
-            "--prune" => prune_level = toorjah::engine::PruningLevel::Runtime,
             "--prune-level" => {
                 let level = args.next().map(|v| v.parse());
                 match level {
@@ -154,7 +150,7 @@ fn main() -> ExitCode {
                         return ExitCode::from(2);
                     }
                     None => {
-                        eprintln!("--prune-level needs an argument (off|static|runtime|magic)");
+                        eprintln!("--prune-level needs an argument (off|static|runtime)");
                         return ExitCode::from(2);
                     }
                 }

@@ -158,7 +158,6 @@ fn json_output_has_the_response_shape() {
         "\"per_relation\":",
         "\"dispatch\":",
         "\"accesses_pruned\":",
-        "\"derivations_suppressed\":",
         "\"pruned_per_frontier\":[",
         "\"timings_us\":",
         "\"parse\":",
@@ -244,11 +243,13 @@ fn union_and_negated_statements_run_through_the_same_flag() {
 #[test]
 fn prune_and_first_k_flags() {
     let file = sample_file();
-    // --prune: answers unchanged, and the JSON carries the pruned counter.
+    // Runtime pruning: answers unchanged, and the JSON carries the pruned
+    // counter.
     let out = Command::new(BIN)
         .arg(file.path())
         .args([
-            "--prune",
+            "--prune-level",
+            "runtime",
             "--json",
             "--query",
             "q(N) <- r1(A, N, Y1), r2('volare', Y2, A)",
@@ -285,7 +286,7 @@ fn prune_and_first_k_flags() {
 fn prune_level_flag() {
     let file = sample_file();
     // Every tier answers the query identically; the JSON reports the level.
-    for level in ["off", "static", "runtime", "magic"] {
+    for level in ["off", "static", "runtime"] {
         let out = Command::new(BIN)
             .arg(file.path())
             .args([
@@ -309,31 +310,21 @@ fn prune_level_flag() {
             "{level}: {stdout}"
         );
     }
-    // A negated statement at magic falls back to runtime, visibly.
-    let out = Command::new(BIN)
-        .arg(file.path())
-        .args([
-            "--prune-level",
-            "magic",
-            "--json",
-            "--query",
-            "q(A) <- r3(A, B), !r1(A, 'italy', 1928)",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"answers\":[[\"mina\"]]"), "{stdout}");
-    assert!(stdout.contains("\"prune_level\":\"runtime\""), "{stdout}");
-    // An unknown level fails cleanly.
-    let out = Command::new(BIN)
-        .arg(file.path())
-        .args(["--prune-level", "bogus"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown pruning level 'bogus'"), "{stderr}");
+    // An unknown level fails cleanly, `magic` included.
+    for level in ["bogus", "magic"] {
+        let out = Command::new(BIN)
+            .arg(file.path())
+            .args(["--prune-level", level])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown pruning level '{level}'")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("off|static|runtime)"), "{stderr}");
+    }
     // A missing argument fails cleanly too.
     let out = Command::new(BIN)
         .arg(file.path())
@@ -341,58 +332,6 @@ fn prune_level_flag() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
-}
-
-/// The magic tier's trace events surface end-to-end: a conjunctive query
-/// emits `demand_seeded`, a negated statement emits `rewrite_fallback`.
-#[test]
-fn magic_tier_trace_events() {
-    let file = sample_file();
-    let trace_path = std::env::temp_dir().join(format!(
-        "toorjah-cli-magic-trace-{}.jsonl",
-        std::process::id()
-    ));
-    let out = Command::new(BIN)
-        .arg(file.path())
-        .arg(format!("--trace={}", trace_path.display()))
-        .args([
-            "--prune-level",
-            "magic",
-            "--query",
-            "q(N) <- r1(A, N, Y1), r2('volare', Y2, A)",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&trace_path).expect("trace file written");
-    assert!(text.contains("\"event\":\"demand_seeded\""), "{text}");
-
-    let out = Command::new(BIN)
-        .arg(file.path())
-        .arg(format!("--trace={}", trace_path.display()))
-        .args([
-            "--prune-level",
-            "magic",
-            "--query",
-            "q(A) <- r3(A, B), !r1(A, 'italy', 1928)",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&trace_path).expect("trace file written");
-    let _ = std::fs::remove_file(&trace_path);
-    assert!(
-        text.contains("\"event\":\"rewrite_fallback\"") && text.contains("\"level\":\"runtime\""),
-        "{text}"
-    );
 }
 
 /// First number following `key` inside `s`.

@@ -15,7 +15,7 @@ use toorjah::catalog::{RelationId, Schema, Tuple};
 use toorjah::engine::{EngineError, InstanceSource, SourceProvider};
 use toorjah::server::{
     reply_answers, reply_error_code, reply_number, reply_ok, Server, Service, ServiceConfig,
-    WireClient,
+    WireClient, MAX_REQUEST_LINE,
 };
 use toorjah::system::Toorjah;
 use toorjah::workload::{music_instance, music_schema, traffic, MusicConfig, TrafficParams};
@@ -395,4 +395,41 @@ fn service_handle_outlives_the_run() {
     control.shutdown().expect("shutdown");
     handle.join().expect("server drained");
     assert!(service.is_draining());
+}
+
+/// A client that never ends its request line cannot grow the server's
+/// buffer without limit: one byte past the cap it gets one
+/// `malformed_request` reply and the connection is closed, while other
+/// clients are still served.
+#[test]
+fn an_over_long_request_line_is_refused_and_closed() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+
+    let (addr, server) = start_server(ServiceConfig::default());
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    raw.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])
+        .expect("send an over-long line");
+    let mut reader = BufReader::new(raw);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("the error line");
+    assert_eq!(
+        reply_error_code(&reply),
+        Some("malformed_request"),
+        "{reply}"
+    );
+    assert!(reply.contains("\"id\":null"), "{reply}");
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("a clean close"),
+        0,
+        "the connection is closed after the error: {rest}"
+    );
+
+    let mut client = WireClient::connect(addr, "next").expect("connect");
+    let reply = client.ask("q(N) <- r1('a0', N, Y)").expect("ask");
+    assert!(reply_ok(&reply), "{reply}");
+    client.shutdown().expect("shutdown");
+    server.join().expect("server drained");
 }

@@ -3,7 +3,9 @@
 //! query execution time".
 //!
 //! Measures time-to-first-answer vs total time for the publication queries
-//! under a real per-access sleep, with parallel per-relation wrappers.
+//! under a real per-round-trip sleep, streamed through `Prepared::stream`:
+//! every frontier leaves as one round trip and each answer surfaces in the
+//! kernel round that derives it.
 //!
 //! Run: `cargo run --release -p toorjah-bench --bin distillation`
 
@@ -11,9 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use toorjah_bench::{fmt_ms, Cli};
-use toorjah_core::plan_query;
 use toorjah_engine::{InstanceSource, LatencySource};
-use toorjah_system::{run_distillation, DistillationOptions};
+use toorjah_system::{Statement, Toorjah};
 use toorjah_workload::{
     paper_queries, publication_instance, publication_schema, PublicationConfig,
 };
@@ -35,13 +36,13 @@ fn main() {
         }
     };
     let instance = publication_instance(&schema, &config);
-    let provider = Arc::new(
+    let system = Toorjah::from_arc(Arc::new(
         LatencySource::new(
             InstanceSource::new(schema.clone(), instance),
             Duration::from_micros(500),
         )
         .with_real_sleep(),
-    );
+    ));
 
     println!("§V — distillation: time to first answer vs total time\n");
     println!(
@@ -49,18 +50,16 @@ fn main() {
         "query", "answers", "first answer", "total", "ratio", "accesses"
     );
     for (name, query) in paper_queries(&schema) {
-        let planned = match plan_query(&query, &schema) {
-            Ok(p) => p,
+        let stream = match system
+            .prepare(&Statement::Cq(query))
+            .and_then(|prepared| prepared.stream())
+        {
+            Ok(stream) => stream,
             Err(e) => {
                 println!("{name}: planning failed: {e}");
                 continue;
             }
         };
-        let stream = run_distillation(
-            planned.plan,
-            provider.clone(),
-            DistillationOptions::default(),
-        );
         match stream.wait() {
             Ok(report) => {
                 let first = report.time_to_first_answer;

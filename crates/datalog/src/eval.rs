@@ -24,7 +24,6 @@
 use std::collections::HashSet;
 
 use toorjah_catalog::Tuple;
-use toorjah_obs::Obs;
 
 use crate::search::instantiate;
 use crate::{
@@ -84,17 +83,8 @@ pub struct EvalStats {
 /// assert_eq!(stats.delta_sizes.iter().sum::<usize>(), stats.derived);
 /// ```
 pub fn evaluate(program: &Program, edb: &FactStore) -> (FactStore, EvalStats) {
-    evaluate_with_obs(program, edb, Obs::disabled())
-}
-
-/// [`evaluate`] with an observability handle: per-round delta sizes are
-/// recorded into the `datalog.delta_facts` histogram (when metrics are on),
-/// so delta decay toward the fixpoint is visible next to the kernel's
-/// `kernel.delta_size` in a metrics snapshot.
-pub fn evaluate_with_obs(program: &Program, edb: &FactStore, obs: Obs) -> (FactStore, EvalStats) {
     let idb_preds = program.idb_predicates();
     let is_idb = |p: PredId| idb_preds.contains(&p);
-    let delta_hist = obs.histogram("datalog.delta_facts");
 
     // Per rule: the IDB body positions (the pivot set) and, per pivot, the
     // delta-join enumeration order starting at the pivot. Computed once —
@@ -176,9 +166,6 @@ pub fn evaluate_with_obs(program: &Program, edb: &FactStore, obs: Obs) -> (FactS
         }
     }
     stats.delta_sizes.push(stats.derived);
-    if let Some(h) = &delta_hist {
-        h.record(stats.derived as u64);
-    }
 
     // Semi-naive rounds: one delta-seeded pass per rule per pivot. The
     // pivot literal ranges over the delta — enumerated *first*, so the
@@ -238,9 +225,6 @@ pub fn evaluate_with_obs(program: &Program, edb: &FactStore, obs: Obs) -> (FactS
             }
         }
         stats.delta_sizes.push(added);
-        if let Some(h) = &delta_hist {
-            h.record(added as u64);
-        }
     }
 
     (total, stats)
@@ -383,37 +367,6 @@ fn goal<'a>(lit: &'a Literal, store: &'a FactStore) -> Goal<'a> {
         terms: &lit.terms,
         extent: store.extent(lit.pred),
     }
-}
-
-/// Evaluates a single rule with body literal `pinned_idx` restricted to the
-/// tuples in `pinned` (all other literals range over `facts`). This is the
-/// delta step of incremental answer computation: when a cache gains
-/// `pinned` new tuples, the new answers are exactly the head instances
-/// derivable through them.
-pub fn rule_head_instances_pinned(
-    rule: &Rule,
-    facts: &FactStore,
-    pinned_idx: usize,
-    pinned: &FactStore,
-) -> Vec<Tuple> {
-    let source_of = |i| {
-        if i == pinned_idx {
-            Source::Delta
-        } else {
-            Source::Edb
-        }
-    };
-    let mut out = Vec::new();
-    apply_rule(
-        rule,
-        source_of,
-        facts,
-        facts,
-        pinned,
-        &mut out,
-        &mut EvalStats::default(),
-    );
-    out
 }
 
 /// `true` when the conjunction of the body literals selected by `subset`

@@ -31,8 +31,7 @@ mod store;
 pub use ast::{adornment_string, DTerm, Literal, PredId, Predicate, Program, Rule};
 pub use error::DatalogError;
 pub use eval::{
-    evaluate, evaluate_full_join, evaluate_with_obs, rule_body_satisfiable, rule_head_instances,
-    rule_head_instances_pinned, EvalStats,
+    evaluate, evaluate_full_join, rule_body_satisfiable, rule_head_instances, EvalStats,
 };
 pub use search::{head_instances, satisfiable, Goal, Search};
 pub use store::{Candidates, Extent, FactStore};

@@ -112,6 +112,16 @@ impl<'a> Extent<'a> {
         self.tuples.len()
     }
 
+    /// The facts from position `start` on, unindexed: a store only ever
+    /// appends, so the tuples a predicate gained since it held `start`
+    /// facts are its delta. A search over the suffix scans it in order.
+    pub fn suffix(self, start: usize) -> Extent<'a> {
+        Extent {
+            tuples: &self.tuples[start..],
+            indexes: &[],
+        }
+    }
+
     /// Whether there is no fact.
     pub fn is_empty(&self) -> bool {
         self.tuples.is_empty()

@@ -85,6 +85,15 @@ impl DispatchOptions {
         }
     }
 
+    /// The streaming dispatch: every frontier leaves as one round trip on
+    /// the calling thread, like a §V wrapper emptying its queue at once.
+    pub fn whole_frontier() -> Self {
+        DispatchOptions {
+            parallelism: 1,
+            batch_size: usize::MAX,
+        }
+    }
+
     /// Replaces the batch size.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;

@@ -27,6 +27,9 @@ pub enum EngineError {
     Catalog(CatalogError),
     /// An underlying Datalog error.
     Datalog(DatalogError),
+    /// The execution panicked (a panicking source, say); the detail is the
+    /// panic message.
+    Panicked(String),
 }
 
 impl fmt::Display for EngineError {
@@ -41,6 +44,7 @@ impl fmt::Display for EngineError {
             EngineError::PlanMismatch(msg) => write!(f, "plan/source mismatch: {msg}"),
             EngineError::Catalog(e) => write!(f, "catalog error: {e}"),
             EngineError::Datalog(e) => write!(f, "datalog error: {e}"),
+            EngineError::Panicked(detail) => write!(f, "execution panicked: {detail}"),
         }
     }
 }
@@ -52,6 +56,18 @@ impl Error for EngineError {
             EngineError::Datalog(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl EngineError {
+    /// The typed error of a caught panic, from its payload.
+    pub fn from_panic(payload: &(dyn std::any::Any + Send)) -> Self {
+        let detail = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        EngineError::Panicked(detail)
     }
 }
 

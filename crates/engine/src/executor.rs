@@ -48,8 +48,8 @@ use toorjah_obs::Obs;
 
 use crate::kernel::{fresh_bindings, Kernel, PoolView, RelevancePruner};
 use crate::{
-    AccessLog, AccessStats, DispatchOptions, DispatchReport, EngineError, SourceProvider,
-    DEFAULT_ACCESS_BUDGET,
+    AccessLog, AccessStats, AnswerEmitter, DispatchOptions, DispatchReport, EngineError,
+    SourceProvider, DEFAULT_ACCESS_BUDGET,
 };
 
 /// How aggressively an execution avoids provably useless work. The tiers
@@ -130,8 +130,7 @@ pub struct ExecOptions {
     /// Opt-in first-k early termination: stop dispatching as soon as `k`
     /// distinct answers are certain (derived answers are monotone, so any
     /// derived answer is final) and return exactly the first `k`. `None`
-    /// computes all obtainable answers. Ignored by the streaming executor;
-    /// unions stop between disjuncts; negated statements apply it only
+    /// computes all obtainable answers. Unions stop between disjuncts; negated statements apply it only
     /// after the negation checks. Checking costs one answer-rule
     /// evaluation per changed round — worthwhile when accesses dominate
     /// (the paper's setting), not when local joins do.
@@ -244,6 +243,33 @@ pub fn execute_plan_cached(
     cache: Option<&SharedAccessCache>,
     log: &mut AccessLog,
 ) -> Result<ExecutionReport, EngineError> {
+    run_plan(plan, provider, options, cache, log, None)
+}
+
+/// [`execute_plan_cached`] streaming its answers: after every kernel round
+/// that grows a cache the answer rule reads, `emitter` receives the
+/// answers derived through the new tuples (see [`AnswerEmitter`]). The
+/// accesses, the log and the returned report are exactly
+/// [`execute_plan_cached`]'s; the emitter only adds local work.
+pub fn execute_plan_streamed(
+    plan: &QueryPlan,
+    provider: &dyn SourceProvider,
+    options: ExecOptions,
+    cache: Option<&SharedAccessCache>,
+    log: &mut AccessLog,
+    emitter: &mut AnswerEmitter<'_>,
+) -> Result<ExecutionReport, EngineError> {
+    run_plan(plan, provider, options, cache, log, Some(emitter))
+}
+
+fn run_plan(
+    plan: &QueryPlan,
+    provider: &dyn SourceProvider,
+    options: ExecOptions,
+    cache: Option<&SharedAccessCache>,
+    log: &mut AccessLog,
+    mut emitter: Option<&mut AnswerEmitter<'_>>,
+) -> Result<ExecutionReport, EngineError> {
     // Resolve each cache's relation inside the provider's schema.
     let provider_schema = provider.schema();
     let mut provider_rel: Vec<Option<RelationId>> = Vec::with_capacity(plan.caches.len());
@@ -321,6 +347,8 @@ pub fn execute_plan_cached(
             kernel.fixpoint(|kernel, _round| {
                 let mut changed = false;
                 for &cache_idx in &group {
+                    let pred = plan.caches[cache_idx].cache_pred;
+                    let before = facts.len(pred);
                     changed |= populate_cache(
                         plan,
                         cache_idx,
@@ -330,6 +358,11 @@ pub fn execute_plan_cached(
                         pruner.as_ref(),
                         kernel,
                     )?;
+                    if let Some(emitter) = emitter.as_deref_mut() {
+                        if facts.len(pred) > before {
+                            emitter.fold(&answer_rule, &facts, pred, before);
+                        }
+                    }
                 }
                 // First-k early termination: any answer derivable now stays
                 // derivable (caches grow monotonically), so `k` derived

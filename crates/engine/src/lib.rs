@@ -26,7 +26,9 @@
 //!   thin strategy configuration over, including the
 //!   [`PruningLevel`]-gated runtime access pruning (`Runtime`) dropping
 //!   accesses whose outputs provably cannot reach the query head — plus the
-//!   opt-in [`first-k`](crate::ExecOptions::first_k) early termination;
+//!   opt-in [`first-k`](crate::ExecOptions::first_k) early termination and
+//!   the §V [`AnswerEmitter`] streaming answers from the fold stage
+//!   ([`execute_plan_streamed`], [`execute_union_streamed`]);
 //! * [`naive_evaluate`]: the Fig. 1 algorithm (after [Li & Chang 2000]) that
 //!   accesses *every* relation of the schema with *every* domain-compatible
 //!   binding until fixpoint — the unoptimized baseline of the evaluation;
@@ -45,6 +47,7 @@ mod access;
 mod completeness;
 mod containment_testing;
 mod dispatch;
+mod emit;
 mod error;
 mod executor;
 mod join;
@@ -62,10 +65,11 @@ pub use containment_testing::{
     refute_obtainable_containment, ContainmentCounterexample, RefutationOptions,
 };
 pub use dispatch::{DispatchOptions, DispatchReport};
+pub use emit::AnswerEmitter;
 pub use error::EngineError;
 pub use executor::{
-    execute_plan, execute_plan_cached, execute_plan_with, ExecOptions, ExecutionReport,
-    PruningLevel,
+    execute_plan, execute_plan_cached, execute_plan_streamed, execute_plan_with, ExecOptions,
+    ExecutionReport, PruningLevel,
 };
 pub use join::{cq_satisfiable, evaluate_cq, evaluate_cq_subset};
 pub use naive::{naive_evaluate, NaiveOptions, NaiveResult};
@@ -74,7 +78,7 @@ pub use negation::{
     NegatedPlan, NegationChecks, NegationError, NegationReport,
 };
 pub use source::{AccessResult, FlakySource, InstanceSource, LatencySource, SourceProvider};
-pub use union::{execute_union, execute_union_cached, UnionReport};
+pub use union::{execute_union, execute_union_cached, execute_union_streamed, UnionReport};
 
 // The shared-cache subsystem, re-exported so engine users configure and
 // share caches without a separate dependency.

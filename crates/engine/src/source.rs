@@ -127,7 +127,7 @@ impl<S: SourceProvider> LatencySource<S> {
 /// via [`LatencySource::simulated_cost`], so experiments over hundreds of
 /// thousands of accesses finish quickly while still reporting realistic
 /// shapes (Fig. 11). With [`LatencySource::with_real_sleep`] the wrapper
-/// additionally sleeps, which the distillation demo uses to make
+/// additionally sleeps per round trip, which the streaming demo uses to make
 /// time-to-first-answer observable.
 pub struct LatencySource<S> {
     inner: S,

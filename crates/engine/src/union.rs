@@ -20,8 +20,8 @@ use toorjah_catalog::Tuple;
 use toorjah_core::QueryPlan;
 
 use crate::{
-    execute_plan_cached, AccessLog, AccessStats, DispatchReport, EngineError, ExecOptions,
-    ExecutionReport, SourceProvider,
+    execute_plan_cached, execute_plan_streamed, AccessLog, AccessStats, AnswerEmitter,
+    DispatchReport, EngineError, ExecOptions, ExecutionReport, SourceProvider,
 };
 
 /// Result of executing a union of plans.
@@ -64,6 +64,31 @@ pub fn execute_union_cached(
     cache: Option<&SharedAccessCache>,
     log: &mut AccessLog,
 ) -> Result<UnionReport, EngineError> {
+    run_union(plans, provider, options, cache, log, None)
+}
+
+/// [`execute_union_cached`] streaming its answers through one emitter
+/// shared by every disjunct (see [`crate::execute_plan_streamed`]), so an
+/// answer a later disjunct derives again is not emitted twice.
+pub fn execute_union_streamed(
+    plans: &[&QueryPlan],
+    provider: &dyn SourceProvider,
+    options: ExecOptions,
+    cache: Option<&SharedAccessCache>,
+    log: &mut AccessLog,
+    emitter: &mut AnswerEmitter<'_>,
+) -> Result<UnionReport, EngineError> {
+    run_union(plans, provider, options, cache, log, Some(emitter))
+}
+
+fn run_union(
+    plans: &[&QueryPlan],
+    provider: &dyn SourceProvider,
+    options: ExecOptions,
+    cache: Option<&SharedAccessCache>,
+    log: &mut AccessLog,
+    mut emitter: Option<&mut AnswerEmitter<'_>>,
+) -> Result<UnionReport, EngineError> {
     let mut answers = Vec::new();
     let mut seen: HashSet<Tuple> = HashSet::new();
     let mut per_disjunct = Vec::with_capacity(plans.len());
@@ -76,7 +101,12 @@ pub fn execute_union_cached(
         if i > 0 {
             disjunct_options.first_k = None;
         }
-        let report = execute_plan_cached(plan, provider, disjunct_options, cache, log)?;
+        let report = match emitter.as_deref_mut() {
+            Some(emitter) => {
+                execute_plan_streamed(plan, provider, disjunct_options, cache, log, emitter)?
+            }
+            None => execute_plan_cached(plan, provider, disjunct_options, cache, log)?,
+        };
         for t in &report.answers {
             if seen.insert(t.clone()) {
                 answers.push(t.clone());

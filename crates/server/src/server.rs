@@ -27,6 +27,7 @@
 
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -300,13 +301,22 @@ impl Service {
             ))
         } else {
             let mode = self.system.default_mode();
-            let result = if ad_hoc {
-                self.system.ask_capped(text, mode, Some(remaining))
-            } else {
-                self.statements
-                    .get_or_prepare(&self.system, text)
-                    .and_then(|(prepared, _)| prepared.execute_capped(mode, Some(remaining)))
-            };
+            // A panic (a panicking source, say) is this request's typed
+            // error, not the connection's end.
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                if ad_hoc {
+                    self.system.ask_capped(text, mode, Some(remaining))
+                } else {
+                    self.statements
+                        .get_or_prepare(&self.system, text)
+                        .and_then(|(prepared, _)| prepared.execute_capped(mode, Some(remaining)))
+                }
+            }))
+            .unwrap_or_else(|payload| {
+                Err(ToorjahError::Execution(EngineError::from_panic(
+                    payload.as_ref(),
+                )))
+            });
             match result {
                 Ok(response) => {
                     let performed =
@@ -328,6 +338,9 @@ impl Service {
                     ),
                     None,
                 )),
+                Err(e @ ToorjahError::Execution(EngineError::Panicked(_))) => {
+                    Err((ErrorCode::ExecutionPanicked, e.to_string(), None))
+                }
                 Err(e) => Err((ErrorCode::QueryError, e.to_string(), None)),
             }
         };

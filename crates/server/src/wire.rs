@@ -258,6 +258,10 @@ pub enum ErrorCode {
     AdmissionRejected,
     /// The server is draining after a `shutdown` request.
     ShuttingDown,
+    /// The execution panicked (a panicking source, say). The request
+    /// completed with no answer; the connection and every other tenant
+    /// are unaffected.
+    ExecutionPanicked,
 }
 
 impl ErrorCode {
@@ -271,6 +275,7 @@ impl ErrorCode {
             ErrorCode::BudgetExhausted => "budget_exhausted",
             ErrorCode::AdmissionRejected => "admission_rejected",
             ErrorCode::ShuttingDown => "shutting_down",
+            ErrorCode::ExecutionPanicked => "execution_panicked",
         }
     }
 }

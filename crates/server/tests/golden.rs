@@ -309,3 +309,36 @@ fn golden_error_admission_rejected() {
     let held = holder.join().expect("holder thread");
     assert!(held.contains("\"ok\":true"), "{held}");
 }
+
+/// Panics on every access.
+struct PanickingSource(InstanceSource);
+
+impl toorjah_engine::SourceProvider for PanickingSource {
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+
+    fn access(
+        &self,
+        _: toorjah_catalog::RelationId,
+        _: &toorjah_catalog::Tuple,
+    ) -> Result<Vec<toorjah_catalog::Tuple>, toorjah_engine::EngineError> {
+        panic!("source exploded")
+    }
+}
+
+#[test]
+fn golden_error_execution_panicked() {
+    let schema = Schema::parse("r1^io(A, B) r2^io(B, C)").unwrap();
+    let db = Instance::new(&schema);
+    let system = Toorjah::builder(PanickingSource(InstanceSource::new(schema, db)))
+        .observability(Obs::disabled())
+        .build();
+    let service = Service::new(system, ServiceConfig::default());
+    assert_eq!(
+        service.handle_line(r#"{"id":20,"verb":"execute","query":"q(C) <- r1('a', B), r2(B, C)"}"#),
+        "{\"id\":20,\"ok\":false,\"error\":{\"code\":\"execution_panicked\",\
+         \"message\":\"execution error: execution panicked: source exploded\",\
+         \"retry_after_ms\":null}}"
+    );
+}

@@ -32,14 +32,13 @@ pub enum StreamEvent {
 /// Final statistics of a streaming execution.
 #[derive(Clone, Debug)]
 pub struct StreamReport {
-    /// All distinct answers, in production order.
+    /// The executor's final answers, in the order `execute` returns them
+    /// (the [`StreamEvent::Answer`] events carry them in emission order).
     pub answers: Vec<Tuple>,
     /// Access counters (a snapshot of `log`).
     pub stats: AccessStats,
-    /// The run's full access log: exactly the accesses this run performed
-    /// (plus its cache-served counter), so composite executions — e.g. one
-    /// streaming run per union disjunct — can merge per-run accounts under
-    /// the set semantics ([`AccessLog::merge`]).
+    /// The run's full access log: exactly the accesses this run performed,
+    /// plus its cache-served counter.
     pub log: AccessLog,
     /// Time until the first answer was produced (`None` when the answer set
     /// is empty).
@@ -48,7 +47,7 @@ pub struct StreamReport {
     pub total_time: Duration,
 }
 
-/// A handle to a running distillation execution: iterate [`StreamEvent`]s or
+/// A handle to a running streaming execution: iterate [`StreamEvent`]s or
 /// block for the final report.
 pub struct AnswerStream {
     pub(crate) receiver: Receiver<StreamEvent>,
@@ -82,10 +81,6 @@ impl AnswerStream {
             }
         }
         let _ = self.handle.join();
-        report.unwrap_or_else(|| {
-            Err(EngineError::PlanMismatch(
-                "distillation terminated without a final event".to_string(),
-            ))
-        })
+        report.expect("a stream always ends with a terminal event")
     }
 }

@@ -31,17 +31,15 @@ use toorjah_obs::{Obs, TraceSink};
 use toorjah_query::{ConjunctiveQuery, QueryError, Statement};
 
 use crate::prepared::PreparedKind;
-use crate::{DistillationOptions, ExecMode, MetricsReport, Prepared, Response};
+use crate::{ExecMode, MetricsReport, Prepared, Response};
 
 /// Configuration of a [`Toorjah`] instance.
 #[derive(Clone, Debug, Default)]
 pub struct ToorjahConfig {
     /// Planner settings (CQ minimization, ordering heuristic).
     pub planner: Planner,
-    /// Sequential execution settings.
+    /// Execution settings.
     pub exec: ExecOptions,
-    /// Distillation (streaming) settings.
-    pub distillation: DistillationOptions,
 }
 
 /// Errors surfaced by the facade.
@@ -154,12 +152,6 @@ impl ToorjahBuilder {
         self
     }
 
-    /// Replaces the distillation (streaming) settings.
-    pub fn distillation(mut self, distillation: DistillationOptions) -> Self {
-        self.config.distillation = distillation;
-        self
-    }
-
     /// Configures how each round's access frontier is dispatched (worker
     /// threads, batched round trips). Answers and access counts are
     /// invariant in these settings; only wall-clock changes.
@@ -179,8 +171,7 @@ impl ToorjahBuilder {
     ///
     /// Answers are invariant across every level; `accesses_performed`
     /// drops at `runtime` (surfaced as
-    /// `profile.dispatch.accesses_pruned`). Ignored by the streaming
-    /// executor.
+    /// `profile.dispatch.accesses_pruned`), in every execution mode.
     pub fn prune_level(mut self, level: PruningLevel) -> Self {
         self.config.exec.prune_level = level;
         self
@@ -189,7 +180,7 @@ impl ToorjahBuilder {
     /// Opt-in first-k early termination: executions stop as soon as `k`
     /// answers are certain and return exactly the first `k`. Unions stop
     /// between disjuncts; negated statements apply the cap after the
-    /// negation checks; the streaming executor ignores it.
+    /// negation checks; a stream emits at most `k` answers.
     pub fn first_k(mut self, k: usize) -> Self {
         self.config.exec.first_k = Some(k);
         self

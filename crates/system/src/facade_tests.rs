@@ -5,7 +5,10 @@ use std::sync::Arc;
 use toorjah_cache::SharedAccessCache;
 use toorjah_catalog::{tuple, Instance, Schema};
 use toorjah_core::CoreError;
-use toorjah_engine::{DispatchOptions, InstanceSource, NegationError, SourceProvider};
+use toorjah_engine::{
+    DispatchOptions, EngineError, ExecOptions, FlakySource, InstanceSource, LatencySource,
+    NegationError, SourceProvider,
+};
 
 use crate::{ExecMode, Statement, StatementKind, StreamEvent, Toorjah, ToorjahError};
 
@@ -441,5 +444,194 @@ mod streaming {
             .execute(ExecMode::Streaming)
             .unwrap();
         assert_eq!(response.answers, vec![tuple!["a"]]);
+    }
+
+    /// Example 5's chain: two answers (c1, c2) over two r2 accesses.
+    fn chain_system(provider: impl SourceProvider + 'static) -> Toorjah {
+        Toorjah::new(provider)
+    }
+
+    fn chain_source() -> InstanceSource {
+        let schema = Schema::parse("r1^io(A, B) r2^io(B, C) r3^io(C, A)").unwrap();
+        let db = Instance::with_data(
+            &schema,
+            [
+                ("r1", vec![tuple!["a", "b1"], tuple!["a", "b2"]]),
+                ("r2", vec![tuple!["b1", "c1"], tuple!["b2", "c2"]]),
+                ("r3", vec![tuple!["c1", "a"]]),
+            ],
+        )
+        .unwrap();
+        InstanceSource::new(schema, db)
+    }
+
+    const CHAIN: &str = "q(C) <- r1('a', B), r2(B, C)";
+
+    fn chain_prepared(system: &Toorjah) -> crate::Prepared {
+        system
+            .prepare(&Statement::parse(CHAIN, system.schema()).unwrap())
+            .unwrap()
+    }
+
+    #[test]
+    fn distillation_matches_sequential_execution() {
+        let system = chain_system(chain_source());
+        let prepared = chain_prepared(&system);
+        let sequential = prepared.execute(ExecMode::Sequential).unwrap();
+        let report = prepared.stream().unwrap().wait().unwrap();
+        assert_eq!(report.answers, sequential.answers);
+        assert_eq!(
+            report.stats.total_accesses,
+            sequential.profile.stats.total_accesses
+        );
+        assert!(report.time_to_first_answer.is_some());
+        assert!(report.time_to_first_answer.unwrap() <= report.total_time);
+    }
+
+    #[test]
+    fn answers_stream_incrementally() {
+        let system = chain_system(chain_source());
+        let stream = chain_prepared(&system).stream().unwrap();
+        let mut events = Vec::new();
+        while let Some(e) = stream.next_event() {
+            events.push(e);
+        }
+        let answer_count = events
+            .iter()
+            .filter(|e| matches!(e, StreamEvent::Answer { .. }))
+            .count();
+        assert_eq!(answer_count, 2); // c1 and c2
+        assert!(matches!(events.last(), Some(StreamEvent::Done(_))));
+    }
+
+    #[test]
+    fn latency_source_shows_first_answer_before_total() {
+        let schema = Schema::parse("f^oo(A, B) g^io(B, C)").unwrap();
+        let mut db = Instance::new(&schema);
+        for i in 0..20 {
+            db.insert("f", tuple![format!("a{i}"), format!("b{i}")])
+                .unwrap();
+            db.insert("g", tuple![format!("b{i}"), format!("c{i}")])
+                .unwrap();
+        }
+        let src = LatencySource::new(
+            InstanceSource::new(schema.clone(), db),
+            std::time::Duration::from_millis(2),
+        )
+        .with_real_sleep();
+        let system = Toorjah::new(src);
+        let statement = Statement::parse("q(C) <- f(A, B), g(B, C)", system.schema()).unwrap();
+        let report = system
+            .prepare(&statement)
+            .unwrap()
+            .stream()
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(report.answers.len(), 20);
+        // Two round trips of ≥2 ms each: the f frontier, then all 20 g
+        // accesses at once; the answers surface as the second one folds.
+        let first = report.time_to_first_answer.unwrap();
+        assert!(first >= std::time::Duration::from_millis(4));
+        assert!(
+            first < report.total_time,
+            "first answer should arrive before the run completes ({first:?} vs {:?})",
+            report.total_time
+        );
+    }
+
+    #[test]
+    fn warm_cache_distillation_performs_no_accesses() {
+        let cache = SharedAccessCache::unbounded();
+        let system = chain_system(chain_source()).with_cache(cache.clone());
+        let prepared = chain_prepared(&system);
+        let cold = prepared.stream().unwrap().wait().unwrap();
+        assert!(cold.stats.total_accesses > 0);
+        let warm = prepared.stream().unwrap().wait().unwrap();
+        assert_eq!(
+            warm.answers, cold.answers,
+            "answers invariant under cache reuse"
+        );
+        assert_eq!(warm.stats.total_accesses, 0, "warm run pays nothing");
+        assert_eq!(cache.stats().misses as usize, cold.stats.total_accesses);
+    }
+
+    #[test]
+    fn failure_is_reported() {
+        let flaky = FlakySource::new(chain_source(), 1); // every access fails
+        let system = chain_system(flaky);
+        assert!(matches!(
+            chain_prepared(&system).stream().unwrap().wait(),
+            Err(EngineError::SourceFailure { .. })
+        ));
+    }
+
+    #[test]
+    fn budget_failure() {
+        let system = Toorjah::builder(chain_source())
+            .exec(ExecOptions {
+                max_accesses: 1,
+                ..ExecOptions::default()
+            })
+            .build();
+        assert!(matches!(
+            chain_prepared(&system).stream().unwrap().wait(),
+            Err(EngineError::AccessBudgetExceeded { limit: 1 })
+        ));
+    }
+
+    /// Panics on every access.
+    struct PanickingSource(InstanceSource);
+
+    impl SourceProvider for PanickingSource {
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+
+        fn access(
+            &self,
+            _: toorjah_catalog::RelationId,
+            _: &toorjah_catalog::Tuple,
+        ) -> Result<Vec<toorjah_catalog::Tuple>, EngineError> {
+            panic!("source exploded")
+        }
+    }
+
+    #[test]
+    fn a_panicking_source_fails_the_stream_with_a_typed_error() {
+        let system = chain_system(PanickingSource(chain_source()));
+        match chain_prepared(&system).stream().unwrap().wait() {
+            Err(EngineError::Panicked(detail)) => assert!(detail.contains("source exploded")),
+            other => panic!("expected a typed panic failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_execution_cap_binds_under_streaming() {
+        // Example 5: a two-access statement (r1 once, r2 once).
+        let system = example_system();
+        let prepared = system
+            .prepare(&Statement::parse("q(C) <- r1('a', B), r2(B, C)", system.schema()).unwrap())
+            .unwrap();
+        let uncapped = prepared.execute(ExecMode::Streaming).unwrap();
+        assert_eq!(uncapped.profile.accesses_performed, 2);
+        assert!(matches!(
+            prepared.execute_capped(ExecMode::Streaming, Some(1)),
+            Err(ToorjahError::Execution(EngineError::AccessBudgetExceeded {
+                limit: 1
+            }))
+        ));
+    }
+
+    #[test]
+    fn streamed_answers_equal_sequential_in_order_and_first_k_binds() {
+        let system = Toorjah::builder(chain_source()).first_k(1).build();
+        let prepared = chain_prepared(&system);
+        let sequential = prepared.execute(ExecMode::Sequential).unwrap();
+        let streamed = prepared.execute(ExecMode::Streaming).unwrap();
+        assert_eq!(streamed.answers, sequential.answers);
+        assert_eq!(streamed.answers.len(), 1);
+        let stream = prepared.stream().unwrap();
+        assert_eq!(stream.answers().count(), 1, "the stream emits at most k");
     }
 }

@@ -35,10 +35,12 @@
 //! ```
 //!
 //! Execution modes ([`ExecMode`]) cover the paper's strategies without
-//! separate entry points: `Sequential` (the §IV fast-failing executor),
-//! `Parallel` (frontier-batched dispatch over worker threads), and
-//! `Streaming` (the §V distillation executor; use [`Prepared::stream`] for
-//! incremental answers). Answers and access counts are mode-invariant.
+//! separate entry points, all on the one kernel executor: `Sequential`
+//! (the §IV fast-failing executor), `Parallel` (frontier-batched dispatch
+//! over worker threads), and `Streaming` (§V: every frontier leaves as one
+//! round trip and the fold stage emits each answer as soon as it is
+//! derived; use [`Prepared::stream`] for the incremental answers). Answers
+//! and access counts are mode-invariant.
 //!
 //! For serving workloads, [`Toorjah::builder`] installs a session-level
 //! [`toorjah_cache::SharedAccessCache`]: consecutive (and concurrent)
@@ -53,14 +55,12 @@ mod answers;
 mod facade;
 mod json;
 mod metrics;
-mod parallel;
 mod prepared;
 mod response;
 
 pub use answers::{AnswerStream, StreamEvent, StreamReport};
 pub use facade::{Toorjah, ToorjahBuilder, ToorjahConfig, ToorjahError};
 pub use metrics::MetricsReport;
-pub use parallel::{run_distillation, run_distillation_cached, DistillationOptions};
 pub use prepared::Prepared;
 pub use response::{ExecMode, ExecutionProfile, PhaseTimings, Response};
 // The statement types, re-exported so facade users need no direct

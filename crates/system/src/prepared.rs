@@ -9,22 +9,25 @@
 //! serving deployment prepares its query set once and answers repeated
 //! traffic at cache speed.
 
-use std::collections::HashSet;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::unbounded;
 use toorjah_cache::{CacheStats, ShardCounters, SharedAccessCache};
-use toorjah_core::Planned;
+use toorjah_catalog::Tuple;
+use toorjah_core::{Planned, QueryPlan};
 use toorjah_engine::{
-    execute_plan_cached, execute_union_cached, negation_checks, AccessLog, DispatchOptions,
-    DispatchReport, NegatedPlan, SourceProvider,
+    execute_negated_plan, execute_plan_cached, execute_plan_streamed, execute_union_cached,
+    execute_union_streamed, AccessLog, AnswerEmitter, DispatchOptions, DispatchReport, EngineError,
+    ExecOptions, NegatedPlan, SourceProvider,
 };
 use toorjah_query::Statement;
 
 use crate::facade::{Toorjah, ToorjahConfig, ToorjahError};
 use crate::response::{ExecMode, ExecutionProfile, PhaseTimings, Response};
-use crate::{run_distillation_cached, AnswerStream, MetricsReport};
+use crate::{AnswerStream, MetricsReport, StreamEvent, StreamReport};
 
 /// The cache counters of an execution without a cache, read off its log,
 /// the meta-cache, as one shard: every performed access was a miss and
@@ -164,147 +167,30 @@ impl Prepared {
     /// answer is ever returned. This is the enforcement point for the query
     /// service's per-tenant access budgets: the remaining budget rides in
     /// as the cap, so a session can never overdraw mid-execution. `None`
-    /// keeps the instance's configured limit. The cap governs the kernel
-    /// executors (`Sequential`/`Parallel`, plus a negated statement's
-    /// checks under `Streaming`); the distillation phase itself keeps its
-    /// own [`crate::DistillationOptions`] budget.
+    /// keeps the instance's configured limit. The cap, the pruning level
+    /// and first-k bind in every mode, `Streaming` included.
     pub fn execute_capped(
         &self,
         mode: ExecMode,
         max_accesses: Option<usize>,
     ) -> Result<Response, ToorjahError> {
         let started = Instant::now();
-        // The log is the execution's meta-cache; the session cache, when
-        // installed, shares accesses across executions. Only the
-        // distillation coordinator behind `Streaming` shares extractions
-        // through a cache of its own.
-        let cache = match mode {
-            ExecMode::Streaming => Some(self.execution_cache()),
-            _ => self.session_cache.clone(),
-        };
-        let distillation_cache = || cache.clone().expect("a streaming execution has a cache");
         let mut exec = self.exec_options(mode);
         if let Some(cap) = max_accesses {
             exec.max_accesses = cap.min(exec.max_accesses);
         }
-
         let mut log = AccessLog::new();
-        let mut dispatch = DispatchReport::default();
-        let mut rejected = 0usize;
-        let mut skipped_disjuncts = Vec::new();
         let mut time_to_first_answer = None;
-
-        let answers = match (&self.kind, mode) {
-            (PreparedKind::Cq(planned), ExecMode::Sequential | ExecMode::Parallel(_)) => {
-                let report = execute_plan_cached(
-                    &planned.plan,
-                    self.provider.as_ref(),
-                    exec,
-                    cache.as_ref(),
-                    &mut log,
-                )?;
-                dispatch = report.dispatch;
-                report.answers
-            }
-            (PreparedKind::Cq(planned), ExecMode::Streaming) => {
-                let report = run_distillation_cached(
-                    planned.plan.clone(),
-                    Arc::clone(&self.provider),
-                    self.config.distillation,
-                    distillation_cache(),
-                )
-                .wait()
-                .map_err(ToorjahError::Execution)?;
-                log = report.log;
-                time_to_first_answer = report.time_to_first_answer;
-                report.answers
-            }
-            (
-                PreparedKind::Union { planned, skipped },
-                ExecMode::Sequential | ExecMode::Parallel(_),
-            ) => {
-                skipped_disjuncts = skipped.clone();
-                let plans: Vec<&toorjah_core::QueryPlan> =
-                    planned.iter().map(|p| &p.plan).collect();
-                let report = execute_union_cached(
-                    &plans,
-                    self.provider.as_ref(),
-                    exec,
-                    cache.as_ref(),
-                    &mut log,
-                )?;
-                dispatch = report.dispatch;
-                report.answers
-            }
-            (PreparedKind::Union { planned, skipped }, ExecMode::Streaming) => {
-                // One distillation run per disjunct over the shared cache:
-                // a later disjunct never repeats an earlier one's accesses,
-                // exactly like the sequential union.
-                skipped_disjuncts = skipped.clone();
-                let mut answers = Vec::new();
-                let mut seen: HashSet<toorjah_catalog::Tuple> = HashSet::new();
-                for p in planned {
-                    // Rebase the disjunct-relative first-answer stamp onto
-                    // this execution's clock before comparing/recording.
-                    let disjunct_started = started.elapsed();
-                    let report = run_distillation_cached(
-                        p.plan.clone(),
-                        Arc::clone(&self.provider),
-                        self.config.distillation,
-                        distillation_cache(),
-                    )
-                    .wait()
-                    .map_err(ToorjahError::Execution)?;
-                    if time_to_first_answer.is_none() {
-                        time_to_first_answer =
-                            report.time_to_first_answer.map(|t| disjunct_started + t);
-                    }
-                    for t in report.answers {
-                        if seen.insert(t.clone()) {
-                            answers.push(t);
-                        }
-                    }
-                    log.merge(&report.log);
-                }
-                answers
-            }
-            (PreparedKind::Negated(plan), ExecMode::Sequential | ExecMode::Parallel(_)) => {
-                let report = toorjah_engine::execute_negated_plan(
-                    plan,
-                    self.provider.as_ref(),
-                    exec,
-                    cache.as_ref(),
-                    &mut log,
-                )?;
-                dispatch = report.dispatch;
-                rejected = report.rejected;
-                report.answers
-            }
-            (PreparedKind::Negated(plan), ExecMode::Streaming) => {
-                // Stream the positive part, then decide the negated atoms
-                // exactly. Candidates are only *certain* answers after the
-                // checks, so no time-to-first-answer is reported.
-                let report = run_distillation_cached(
-                    plan.planned().plan.clone(),
-                    Arc::clone(&self.provider),
-                    self.config.distillation,
-                    distillation_cache(),
-                )
-                .wait()
-                .map_err(ToorjahError::Execution)?;
-                log = report.log;
-                let checks = negation_checks(
-                    plan,
-                    &report.answers,
-                    self.provider.as_ref(),
-                    exec,
-                    cache.as_ref(),
-                    &mut log,
-                    &mut dispatch,
-                )?;
-                rejected = checks.rejected;
-                checks.answers
-            }
+        let run = if mode == ExecMode::Streaming {
+            // The response reports when the first answer surfaced, so the
+            // emitter stops after one.
+            let mut first_answer = |_: &Tuple| {
+                time_to_first_answer.get_or_insert_with(|| started.elapsed());
+            };
+            let mut emitter = AnswerEmitter::new(&mut first_answer).with_limit(1);
+            self.run_kernel(exec, &mut log, Some(&mut emitter))?
+        } else {
+            self.run_kernel(exec, &mut log, None)?
         };
 
         // Counted on completion only: a failed execution does not consume a
@@ -317,10 +203,9 @@ impl Prepared {
             .fetch_add(elapsed_ns, Ordering::Relaxed)
             .saturating_add(elapsed_ns);
         // Metrics are captured against the cache this execution actually
-        // used — the session cache, the private one of a distillation, or
-        // else the log.
+        // used — the session cache, or else the log.
         let metrics = self.config.exec.obs.snapshot().map(|snapshot| {
-            let (cache, shards) = match &cache {
+            let (cache, shards) = match &self.session_cache {
                 Some(cache) => (cache.stats(), cache.shard_counters()),
                 None => log_cache_counters(&log),
             };
@@ -332,9 +217,9 @@ impl Prepared {
             }
         });
         Ok(Response {
-            answers,
-            rejected,
-            skipped_disjuncts,
+            answers: run.answers,
+            rejected: run.rejected,
+            skipped_disjuncts: self.skipped_disjuncts().to_vec(),
             time_to_first_answer,
             profile: ExecutionProfile {
                 statement: self.statement.kind(),
@@ -343,7 +228,7 @@ impl Prepared {
                 stats: log.stats(),
                 accesses_served_by_cache: log.cache_served() as u64,
                 accesses_performed: log.total() as u64,
-                dispatch,
+                dispatch: run.dispatch,
                 timings: PhaseTimings {
                     parse: None,
                     plan: None,
@@ -357,53 +242,143 @@ impl Prepared {
         })
     }
 
+    /// Runs the plan on the kernel executor of its statement kind, over the
+    /// session cache and `log`. With an emitter, CQs and unions stream their
+    /// answers into it; a negated statement's candidates are certain only
+    /// after the negation checks, so it emits nothing.
+    fn run_kernel(
+        &self,
+        exec: ExecOptions,
+        log: &mut AccessLog,
+        emitter: Option<&mut AnswerEmitter<'_>>,
+    ) -> Result<Run, ToorjahError> {
+        let provider = self.provider.as_ref();
+        let cache = self.session_cache.as_ref();
+        let run = match &self.kind {
+            PreparedKind::Cq(planned) => {
+                let report = match emitter {
+                    Some(e) => execute_plan_streamed(&planned.plan, provider, exec, cache, log, e),
+                    None => execute_plan_cached(&planned.plan, provider, exec, cache, log),
+                }?;
+                Run {
+                    answers: report.answers,
+                    rejected: 0,
+                    dispatch: report.dispatch,
+                }
+            }
+            PreparedKind::Union { planned, .. } => {
+                let plans: Vec<&QueryPlan> = planned.iter().map(|p| &p.plan).collect();
+                let report = match emitter {
+                    Some(e) => execute_union_streamed(&plans, provider, exec, cache, log, e),
+                    None => execute_union_cached(&plans, provider, exec, cache, log),
+                }?;
+                Run {
+                    answers: report.answers,
+                    rejected: 0,
+                    dispatch: report.dispatch,
+                }
+            }
+            PreparedKind::Negated(plan) => {
+                let report = execute_negated_plan(plan, provider, exec, cache, log)?;
+                Run {
+                    answers: report.answers,
+                    rejected: report.rejected,
+                    dispatch: report.dispatch,
+                }
+            }
+        };
+        Ok(run)
+    }
+
     /// Starts a streaming execution and hands back the live
-    /// [`AnswerStream`] for incremental consumption (`execute(Streaming)`
-    /// collects the same stream into a [`Response`] instead). Only CQ
+    /// [`AnswerStream`] for incremental consumption: one thread runs the
+    /// `Streaming` execution and sends each answer as soon as the kernel's
+    /// fold stage derives it (`execute(Streaming)` runs the same execution
+    /// inline and collects a [`Response`] instead). A failure, a panic
+    /// included, ends the stream with [`StreamEvent::Failed`]. Only CQ
     /// statements stream incrementally; unions and negated statements
     /// return [`ToorjahError::Unsupported`].
     pub fn stream(&self) -> Result<AnswerStream, ToorjahError> {
-        match &self.kind {
-            PreparedKind::Cq(planned) => Ok(run_distillation_cached(
-                planned.plan.clone(),
-                Arc::clone(&self.provider),
-                self.config.distillation,
-                self.execution_cache(),
-            )),
-            PreparedKind::Union { .. } => Err(ToorjahError::Unsupported(
-                "incremental streaming of a union statement (use execute(ExecMode::Streaming))"
-                    .to_string(),
-            )),
-            PreparedKind::Negated(_) => Err(ToorjahError::Unsupported(
-                "incremental streaming of a negated statement (answers are certain only after \
-                 the negation checks; use execute(ExecMode::Streaming))"
-                    .to_string(),
-            )),
+        match self.kind {
+            PreparedKind::Cq(_) => {}
+            PreparedKind::Union { .. } => {
+                return Err(ToorjahError::Unsupported(
+                    "incremental streaming of a union statement (use execute(ExecMode::Streaming))"
+                        .to_string(),
+                ))
+            }
+            PreparedKind::Negated(_) => {
+                return Err(ToorjahError::Unsupported(
+                    "incremental streaming of a negated statement (answers are certain only after \
+                     the negation checks; use execute(ExecMode::Streaming))"
+                        .to_string(),
+                ))
+            }
         }
-    }
-
-    /// The cache a distillation run shares extractions through: the
-    /// session cache the plan was prepared with, or a fresh private one.
-    fn execution_cache(&self) -> SharedAccessCache {
-        self.session_cache.clone().unwrap_or_else(|| {
-            SharedAccessCache::with_obs(
-                toorjah_cache::CacheConfig::unbounded(),
-                self.config.exec.obs,
-            )
-        })
+        let prepared = Prepared {
+            provider: Arc::clone(&self.provider),
+            config: self.config.clone(),
+            session_cache: self.session_cache.clone(),
+            statement: self.statement.clone(),
+            kind: self.kind.clone(),
+            executions: AtomicU64::new(0),
+            cumulative_execute_ns: AtomicU64::new(0),
+        };
+        let (events, receiver) = unbounded::<StreamEvent>();
+        let handle = std::thread::spawn(move || {
+            let started = Instant::now();
+            let exec = prepared.exec_options(ExecMode::Streaming);
+            let mut log = AccessLog::new();
+            let mut time_to_first_answer = None;
+            let run = {
+                let mut send = |tuple: &Tuple| {
+                    let at = started.elapsed();
+                    time_to_first_answer.get_or_insert(at);
+                    let _ = events.send(StreamEvent::Answer {
+                        tuple: tuple.clone(),
+                        at,
+                    });
+                };
+                let mut emitter =
+                    AnswerEmitter::new(&mut send).with_limit(exec.first_k.unwrap_or(usize::MAX));
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    prepared.run_kernel(exec, &mut log, Some(&mut emitter))
+                }))
+                .unwrap_or_else(|payload| Err(EngineError::from_panic(payload.as_ref()).into()))
+            };
+            let event = match run {
+                Ok(run) => StreamEvent::Done(Box::new(StreamReport {
+                    answers: run.answers,
+                    stats: log.stats(),
+                    log,
+                    time_to_first_answer,
+                    total_time: started.elapsed(),
+                })),
+                Err(ToorjahError::Execution(e)) => StreamEvent::Failed(e),
+                Err(e) => StreamEvent::Failed(EngineError::PlanMismatch(e.to_string())),
+            };
+            let _ = events.send(event);
+        });
+        Ok(AnswerStream { receiver, handle })
     }
 
     /// The executor options for one mode: `Sequential` forces the
     /// one-access-per-round-trip dispatch, `Parallel` substitutes its own,
-    /// `Streaming` leaves the configured dispatch for any frontier work
-    /// outside the distillation executor (negation checks).
-    fn exec_options(&self, mode: ExecMode) -> toorjah_engine::ExecOptions {
+    /// `Streaming` sends every frontier as one round trip.
+    fn exec_options(&self, mode: ExecMode) -> ExecOptions {
         let mut exec = self.config.exec;
         exec.dispatch = match mode {
             ExecMode::Sequential => DispatchOptions::sequential(),
             ExecMode::Parallel(d) => d,
-            ExecMode::Streaming => self.config.exec.dispatch,
+            ExecMode::Streaming => DispatchOptions::whole_frontier(),
         };
         exec
     }
+}
+
+/// What one kernel execution of a prepared statement produced.
+struct Run {
+    answers: Vec<Tuple>,
+    rejected: usize,
+    dispatch: DispatchReport,
 }

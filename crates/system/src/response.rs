@@ -26,9 +26,10 @@ use crate::MetricsReport;
 ///   per round trip on the calling thread;
 /// * [`ExecMode::Parallel`] — the same evaluator with each round's access
 ///   frontier fanned out over worker threads / batched round trips;
-/// * [`ExecMode::Streaming`] — the §V distillation executor: wrapper
-///   threads access the sources concurrently and answers surface as soon
-///   as they are computed ([`Response::time_to_first_answer`]).
+/// * [`ExecMode::Streaming`] — the §V distillation schedule on the same
+///   executor: every frontier leaves as one round trip and the fold stage
+///   emits each answer as soon as it is derived
+///   ([`Response::time_to_first_answer`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecMode {
     /// Synchronous one-access-per-round-trip execution (the default).
@@ -36,7 +37,7 @@ pub enum ExecMode {
     Sequential,
     /// Frontier-parallel execution with the given dispatch settings.
     Parallel(DispatchOptions),
-    /// The §V distillation executor (streamed answers, collected here).
+    /// Whole-frontier round trips with fold-stage answer emission (§V).
     Streaming,
 }
 
@@ -95,19 +96,14 @@ pub struct ExecutionProfile {
     /// warm session-cache entries.
     pub accesses_served_by_cache: u64,
     /// Distinct accesses this execution performed against the sources
-    /// (equals `stats.total_accesses`). In the non-streaming modes, every
+    /// (equals `stats.total_accesses`). Every
     /// requested access is performed, cache-served, or dropped by the
-    /// kernel's runtime relevance pruner:
+    /// kernel's runtime relevance pruner, in every mode:
     /// `accesses_performed + accesses_served_by_cache +
     /// dispatch.accesses_pruned == dispatch.total_requested()` (pinned by
     /// `tests/prepared.rs` and `tests/relevance.rs`).
     pub accesses_performed: u64,
-    /// Frontier/batch accounting of the dispatcher. Under
-    /// [`ExecMode::Streaming`] the distillation executor schedules accesses
-    /// through wrapper queues, not frontiers, so only frontier work outside
-    /// it is counted here (the negation checks of a negated statement;
-    /// empty otherwise) — `total_requested()` is **not** the execution's
-    /// full request count in that mode.
+    /// Frontier/batch accounting of the dispatcher, in every mode.
     pub dispatch: DispatchReport,
     /// Per-phase wall-clock timings.
     pub timings: PhaseTimings,

@@ -1,6 +1,7 @@
-//! The §V distillation strategy: wrapper threads access slow sources in
-//! parallel and answers stream out as soon as they are computed, so the
-//! time-to-first-answer is a small fraction of the total execution time.
+//! The §V distillation strategy: every frontier of accesses leaves as one
+//! round trip to the slow sources, and each answer streams out in the
+//! kernel round that derives it, so the time-to-first-answer is a fraction
+//! of the total execution time.
 //!
 //! Run with: `cargo run --release --example streaming_answers`
 
@@ -32,7 +33,7 @@ fn main() {
             .unwrap();
     }
 
-    // 3 ms per remote access, really slept on the wrapper threads.
+    // 3 ms per round trip, really slept.
     let provider = LatencySource::new(
         InstanceSource::new(schema.clone(), db),
         Duration::from_millis(3),

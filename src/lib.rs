@@ -17,7 +17,7 @@
 //! | [`datalog`] | Datalog programs and semi-naive evaluation (plan representation) |
 //! | [`core`] | d-graphs, the GFP algorithm, relevance, orderings, ⊂-minimal plans |
 //! | [`engine`] | sources, access accounting, the naive baseline, the fast-failing executor |
-//! | [`system`] | the Toorjah facade and the parallel distillation executor |
+//! | [`system`] | the Toorjah facade; `Streaming` runs the §V schedule on the kernel |
 //! | [`server`] | the query service: wire protocol, sessions/budgets, admission control |
 //! | [`workload`] | the §V publication workload and the random workloads of Figs. 10–11 |
 //!

@@ -293,14 +293,14 @@ fn streaming_distillation_respects_the_session_cache() {
     let cold = prepared.execute(ExecMode::Streaming).unwrap();
     let cold_count = counting.attempts();
     assert!(cold_count > 0);
-    // Warm streaming run: the coordinator serves everything from the cache.
+    // Warm streaming run: the session cache serves everything.
     let warm = prepared.execute(ExecMode::Streaming).unwrap();
-    assert_eq!(sorted(warm.answers), sorted(cold.answers.clone()));
+    assert_eq!(warm.answers, cold.answers);
     assert_eq!(warm.profile.stats.total_accesses, 0);
     assert_eq!(counting.attempts(), cold_count, "no new source accesses");
     // The incremental stream shares the cache too…
     let stream_report = prepared.stream().unwrap().wait().unwrap();
-    assert_eq!(sorted(stream_report.answers), sorted(cold.answers));
+    assert_eq!(stream_report.answers, cold.answers);
     assert_eq!(stream_report.stats.total_accesses, 0);
     // …and so does the sequential path.
     let sequential = session.ask(query).unwrap();

@@ -209,9 +209,20 @@ mod prepared_matches_one_shot {
     fn all_kinds_all_modes_all_cache_configs() {
         for text in STATEMENTS {
             for mode in MODES {
-                // One-shot reference on a cold, session-less system.
+                // One-shot reference on a cold, session-less system: every
+                // mode makes Sequential's accesses and returns its answers,
+                // order included.
                 let one_shot = fresh_system(None).ask_with(text, mode).unwrap();
                 assert!(!one_shot.answers.is_empty(), "{text} has answers");
+                let sequential = fresh_system(None).ask(text).unwrap();
+                assert_eq!(
+                    one_shot.answers, sequential.answers,
+                    "{text} under {mode:?}"
+                );
+                assert_eq!(
+                    one_shot.profile.stats, sequential.profile.stats,
+                    "{text} under {mode:?}"
+                );
 
                 let cache_configs: [(Option<SharedAccessCache>, bool); 3] = [
                     (None, false),
@@ -232,17 +243,8 @@ mod prepared_matches_one_shot {
                     let prepared = system.prepare(&statement).unwrap();
 
                     let first = prepared.execute(mode).unwrap();
-                    // Answer-identical to the one-shot (streaming order is
-                    // schedule-dependent, so compare as sets there).
-                    if matches!(mode, ExecMode::Streaming) {
-                        assert_eq!(
-                            sorted(first.answers.clone()),
-                            sorted(one_shot.answers.clone()),
-                            "{text} under {mode:?}"
-                        );
-                    } else {
-                        assert_eq!(first.answers, one_shot.answers, "{text} under {mode:?}");
-                    }
+                    // Answer-identical to the one-shot, order included.
+                    assert_eq!(first.answers, one_shot.answers, "{text} under {mode:?}");
                     // Access-count-identical on the cold execution.
                     assert_eq!(
                         first.profile.accesses_performed, one_shot.profile.accesses_performed,

@@ -1,8 +1,9 @@
 //! The access log is each execution's meta-cache; a session cache only
 //! shares accesses across executions.
 //!
-//! Differential check over statement kind × dispatch mode × pruning level ×
-//! session cache: without a session cache, over a cold unbounded one and
+//! Differential check over statement kind × dispatch mode (sequential,
+//! parallel batched, and streamed: whole-frontier round trips with the
+//! fold-stage answer emitter) × pruning level × session cache: without a session cache, over a cold unbounded one and
 //! over a cold one capped at three entries (which evicts mid-execution), an
 //! execution has the same answers, access sequence, access statistics,
 //! dispatch report and cache-served requests — and the source sees exactly
@@ -13,9 +14,10 @@ use toorjah::cache::{CacheConfig, SharedAccessCache};
 use toorjah::catalog::{RelationId, Tuple};
 use toorjah::core::{plan_query, Planner, QueryPlan};
 use toorjah::engine::{
-    execute_negated_plan, execute_plan_cached, execute_union_cached, naive_evaluate, plan_negated,
-    AccessLog, AccessStats, DispatchOptions, DispatchReport, ExecOptions, FlakySource,
-    InstanceSource, NaiveOptions, NegatedPlan, PruningLevel,
+    execute_negated_plan, execute_plan_cached, execute_plan_streamed, execute_union_cached,
+    execute_union_streamed, naive_evaluate, plan_negated, AccessLog, AccessStats, AnswerEmitter,
+    DispatchOptions, DispatchReport, ExecOptions, FlakySource, InstanceSource, NaiveOptions,
+    NegatedPlan, PruningLevel,
 };
 use toorjah::query::Statement;
 use toorjah::workload::publications::{
@@ -41,22 +43,39 @@ struct Run {
     dispatch: DispatchReport,
 }
 
+/// Runs `plans` once; `streamed` attaches an answer emitter (CQs and
+/// unions emit; a negated statement's checks come first) and holds what it
+/// emitted to the final answers.
 fn run(
     plans: &Plans,
     source: &Counting,
     options: ExecOptions,
     cache: Option<&SharedAccessCache>,
+    streamed: bool,
 ) -> Run {
     let mut log = AccessLog::new();
     let before = source.attempted();
+    let mut emitted: Vec<Tuple> = Vec::new();
+    let mut sink = |t: &Tuple| emitted.push(t.clone());
+    let mut emitter = AnswerEmitter::new(&mut sink);
     let (answers, dispatch) = match plans {
         Plans::Cq(plan) => {
-            let r = execute_plan_cached(plan, source, options, cache, &mut log).unwrap();
+            let r = if streamed {
+                execute_plan_streamed(plan, source, options, cache, &mut log, &mut emitter)
+            } else {
+                execute_plan_cached(plan, source, options, cache, &mut log)
+            }
+            .unwrap();
             (r.answers, r.dispatch)
         }
         Plans::Union(plans) => {
             let plans: Vec<&QueryPlan> = plans.iter().collect();
-            let r = execute_union_cached(&plans, source, options, cache, &mut log).unwrap();
+            let r = if streamed {
+                execute_union_streamed(&plans, source, options, cache, &mut log, &mut emitter)
+            } else {
+                execute_union_cached(&plans, source, options, cache, &mut log)
+            }
+            .unwrap();
             (r.answers, r.dispatch)
         }
         Plans::Negated(plan) => {
@@ -64,6 +83,13 @@ fn run(
             (r.answers, r.dispatch)
         }
     };
+    drop(emitter);
+    if streamed && !matches!(plans, Plans::Negated(_)) {
+        let (mut emitted, mut expected) = (emitted, answers.clone());
+        emitted.sort();
+        expected.sort();
+        assert_eq!(emitted, expected, "every answer is emitted exactly once");
+    }
     let reached = source.attempted() - before;
     assert_eq!(
         reached,
@@ -104,7 +130,7 @@ fn the_log_is_the_meta_cache_under_every_session_cache() {
     let mut statements: Vec<(String, Plans)> = Vec::new();
     for (name, query) in paper_queries(&schema) {
         let plans = Plans::Cq(Box::new(plan_query(&query, &schema).unwrap().plan));
-        let mut answers = run(&plans, &source, ExecOptions::default(), None).answers;
+        let mut answers = run(&plans, &source, ExecOptions::default(), None, false).answers;
         let naive = naive_evaluate(&query, &schema, &source, NaiveOptions::default()).unwrap();
         let mut expected = naive.answers;
         answers.sort();
@@ -132,27 +158,30 @@ fn the_log_is_the_meta_cache_under_every_session_cache() {
     for (name, plans) in &statements {
         for prune_level in [PruningLevel::Static, PruningLevel::Runtime] {
             let mut runs = [
-                DispatchOptions::sequential(),
-                DispatchOptions::parallel(4).with_batch_size(2),
+                (DispatchOptions::sequential(), false),
+                (DispatchOptions::parallel(4).with_batch_size(2), false),
+                (DispatchOptions::whole_frontier(), true),
             ]
-            .map(|dispatch| {
+            .map(|(dispatch, streamed)| {
                 let options = ExecOptions {
                     dispatch,
                     prune_level,
                     ..ExecOptions::default()
                 };
-                let alone = run(plans, &source, options, None);
+                let alone = run(plans, &source, options, None, streamed);
                 let capped = SharedAccessCache::new(CacheConfig::max_entries(3).with_shards(2));
                 for cache in [SharedAccessCache::unbounded(), capped] {
-                    let shared = run(plans, &source, options, Some(&cache));
+                    let shared = run(plans, &source, options, Some(&cache), streamed);
                     assert_eq!(shared, alone, "{name} at {prune_level} under {dispatch:?}");
                 }
                 alone
             });
-            // Parallel batched dispatch changes how accesses are grouped
-            // into round trips, nothing else.
-            runs[1].dispatch.batches = runs[0].dispatch.batches;
-            assert_eq!(runs[1], runs[0], "{name} at {prune_level}");
+            // Batched dispatch, streamed or not, changes how accesses are
+            // grouped into round trips, nothing else.
+            for i in 1..runs.len() {
+                runs[i].dispatch.batches = runs[0].dispatch.batches;
+                assert_eq!(runs[i], runs[0], "{name} at {prune_level}, mode {i}");
+            }
             served_anywhere += runs[0].served;
         }
     }

@@ -1,9 +1,10 @@
 //! Parallel execution is answer-invariant.
 //!
-//! Two parallel paths are covered: the §V distillation executor (wrapper
-//! threads + streaming answers) and the frontier-batched dispatcher that
-//! fans each round's access frontier over a worker pool. Both compute
-//! exactly the sequential executor's answers; the dispatcher additionally
+//! Two paths are covered: the §V distillation strategy (`Streaming`: every
+//! frontier as one round trip, answers streamed from the fold stage) and
+//! the frontier-batched dispatcher that fans each round's access frontier
+//! over a worker pool. Both compute exactly the sequential executor's
+//! answers; the dispatcher additionally
 //! keeps access counts, log order and cache hit/miss totals bit-identical
 //! for every `parallelism`/`batch_size` setting, and under
 //! `LatencySource::with_real_sleep` cuts wall-clock by roughly the
@@ -18,7 +19,7 @@ use toorjah::engine::{
     execute_plan, execute_plan_cached, naive_evaluate, AccessLog, DispatchOptions, EngineError,
     ExecOptions, FlakySource, InstanceSource, LatencySource, NaiveOptions, SharedAccessCache,
 };
-use toorjah::system::{run_distillation, DistillationOptions};
+use toorjah::system::{Statement, Toorjah};
 use toorjah::workload::random::seeded_rng;
 use toorjah::workload::{random_instance, random_query, random_schema, RandomParams};
 
@@ -48,13 +49,13 @@ fn distillation_equals_sequential_on_random_workloads() {
 
         let sequential = execute_plan(&planned.plan, provider.as_ref(), ExecOptions::default())
             .expect("sequential runs");
-        let stream = run_distillation(
-            planned.plan.clone(),
-            Arc::clone(&provider) as Arc<dyn toorjah::engine::SourceProvider>,
-            DistillationOptions::default(),
+        let system = Toorjah::from_arc(provider.clone());
+        let prepared = system.prepare(&Statement::Cq(query.clone())).unwrap();
+        let parallel = prepared.stream().unwrap().wait().expect("streaming runs");
+        assert_eq!(
+            parallel.answers, sequential.answers,
+            "answers and their order differ on seed {seed}"
         );
-        let parallel = stream.wait().expect("distillation runs");
-
         assert_eq!(
             sorted(parallel.answers.clone()),
             sorted(sequential.answers.clone()),
@@ -307,14 +308,15 @@ fn distillation_time_to_first_answer_is_populated() {
         };
         let instance = random_instance(&mut rng, &generated, &params);
         let provider = Arc::new(InstanceSource::new(generated.schema.clone(), instance));
-        let Ok(planned) = plan_query(&query, &generated.schema) else {
+        if plan_query(&query, &generated.schema).is_err() {
             continue;
-        };
-        let stream = run_distillation(
-            planned.plan,
-            provider as Arc<dyn toorjah::engine::SourceProvider>,
-            DistillationOptions::default(),
-        );
+        }
+        let system = Toorjah::from_arc(provider);
+        let stream = system
+            .prepare(&Statement::Cq(query.clone()))
+            .unwrap()
+            .stream()
+            .unwrap();
         let report = stream.wait().expect("runs");
         match report.answers.len() {
             0 => assert!(report.time_to_first_answer.is_none()),

@@ -101,14 +101,12 @@ fn pruning_is_mode_and_kind_invariant() {
                 sorted(off.answers.clone()),
                 "{text} under {mode:?}"
             );
-            if !matches!(mode, ExecMode::Streaming) {
-                assert!(
-                    on.profile.accesses_performed <= off.profile.accesses_performed,
-                    "{text} under {mode:?}: pruning may only reduce accesses"
-                );
-                assert_account_closes(&off);
-                assert_account_closes(&on);
-            }
+            assert!(
+                on.profile.accesses_performed <= off.profile.accesses_performed,
+                "{text} under {mode:?}: pruning may only reduce accesses"
+            );
+            assert_account_closes(&off);
+            assert_account_closes(&on);
         }
     }
 }
@@ -224,4 +222,25 @@ fn first_k_caps_negated_statements_after_the_checks() {
     if let Some(first) = capped.answers.first() {
         assert!(full.answers.contains(first), "a certain answer");
     }
+}
+
+#[test]
+fn streaming_prunes_exactly_like_sequential() {
+    let system = sparse_system(true);
+    let sequential = system
+        .ask_with(sparse_query(), ExecMode::Sequential)
+        .unwrap();
+    let streamed = system
+        .ask_with(sparse_query(), ExecMode::Streaming)
+        .unwrap();
+    assert!(sequential.profile.dispatch.accesses_pruned > 0);
+    assert_eq!(streamed.answers, sequential.answers);
+    assert_eq!(
+        streamed.profile.dispatch.accesses_pruned,
+        sequential.profile.dispatch.accesses_pruned
+    );
+    assert_eq!(
+        streamed.profile.accesses_performed,
+        sequential.profile.accesses_performed
+    );
 }

@@ -433,3 +433,68 @@ fn an_over_long_request_line_is_refused_and_closed() {
     client.shutdown().expect("shutdown");
     server.join().expect("server drained");
 }
+
+/// Panics on any access whose binding holds the constant `boom`; every
+/// other access is served.
+struct PanicOnBoom(InstanceSource);
+
+impl SourceProvider for PanicOnBoom {
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+
+    fn access(&self, relation: RelationId, binding: &Tuple) -> Result<Vec<Tuple>, EngineError> {
+        if binding
+            .values()
+            .contains(&toorjah::catalog::Value::from("boom"))
+        {
+            panic!("source exploded on boom");
+        }
+        self.0.access(relation, binding)
+    }
+}
+
+#[test]
+fn a_panicking_source_is_a_typed_error_and_the_connection_survives() {
+    let schema = music_schema();
+    let db = music_instance(&schema, &MusicConfig::small());
+    let system = Toorjah::builder(PanicOnBoom(InstanceSource::new(schema, db)))
+        .cache(SharedAccessCache::unbounded())
+        .build();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Service::new(system, ServiceConfig::default()),
+    )
+    .expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("read the bound address");
+    let handle = std::thread::spawn(move || server.run().expect("server run"));
+
+    let mut mallory = WireClient::connect(addr, "mallory").expect("connect");
+    let mut alice = WireClient::connect(addr, "alice").expect("connect");
+    let reply = mallory
+        .ask("q(N) <- r1('boom', N, Y)")
+        .expect("a reply, not a hang-up");
+    assert_eq!(
+        reply_error_code(&reply),
+        Some("execution_panicked"),
+        "{reply}"
+    );
+    assert!(reply.contains("source exploded on boom"), "{reply}");
+    // The same connection serves its next request, and another tenant is
+    // served alongside.
+    let reply = mallory
+        .ask("q(N) <- r1('a0', N, Y)")
+        .expect("connection open");
+    assert!(reply_ok(&reply), "{reply}");
+    let reply = alice.ask("q(N) <- r1('a0', N, Y)").expect("connect");
+    assert!(reply_ok(&reply), "{reply}");
+    // The panicking request counts as completed: accepted = completed +
+    // rejected still holds.
+    let metrics = alice.metrics().expect("metrics");
+    assert!(
+        metrics.contains("\"accepted\":3,\"completed\":3,\"rejected\":0"),
+        "{metrics}"
+    );
+    alice.shutdown().expect("shutdown");
+    handle.join().expect("server drained");
+}

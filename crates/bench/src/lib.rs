@@ -10,11 +10,20 @@
 //! | `fig10` | Fig. 10 — arc/deletion/strong statistics and saved accesses over random workloads |
 //! | `fig11` | Fig. 11 — average execution time by number of atoms, naive vs optimized |
 //! | `connection_stats` | §VI — fraction of synthetic queries that are connection queries |
-//! | `distillation` | §V — time-to-first-answer vs total time under the parallel strategy |
+//! | `distillation` | §V — time-to-first-answer vs total time of streamed answers |
+//! | `orderings` | §IV/§V — accesses under the join-count ordering heuristic vs a plain order |
 //!
-//! Each binary accepts `--full` to run at the paper's scale and
+//! The figure binaries accept `--full` to run at the paper's scale and
 //! `--seed <n>` for reproducibility; defaults are scaled down to finish in
-//! seconds. Criterion micro-benchmarks live under `benches/`.
+//! seconds. Two more binaries are checks rather than artifacts:
+//!
+//! | binary | checks |
+//! |--------|--------|
+//! | `overhead_budgets` | disabled observability probes ≤ +2%, daemon wire ≤ 3× direct `execute` (release build, no flags) |
+//! | `trace_check` | a JSONL trace export is well formed and its lifecycles reconcile |
+//!
+//! Timing lives in perfbench (`perfbench/README.md`), the repository's one
+//! end-to-end benchmark.
 
 #![warn(missing_docs)]
 

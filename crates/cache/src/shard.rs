@@ -629,9 +629,10 @@ impl SharedAccessCache {
     }
 
     /// Non-blocking lookup: the retained extraction, if any. Counts as a hit
-    /// and refreshes recency when present; in-flight accesses return `None`
-    /// (callers that must not block, like the distillation coordinator, keep
-    /// their own dispatch bookkeeping).
+    /// and refreshes recency when present; in-flight accesses return `None`.
+    /// The engine's dispatcher calls it for an access its log already holds,
+    /// so the session cache still counts the request and keeps the entry
+    /// recently used.
     pub fn try_get(&self, relation: RelationId, binding: &Tuple) -> Option<Arc<[Tuple]>> {
         let key: Key = (relation, binding.clone());
         let idx = self.shard_index(&key);

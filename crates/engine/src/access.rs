@@ -31,10 +31,10 @@ use std::sync::Arc;
 use toorjah_catalog::{AccessKey, FastHasher, FastMap, FastSet, RelationId, Schema, Tuple};
 
 /// Default hard cap on distinct accesses per execution, shared by every
-/// evaluator ([`crate::ExecOptions`], [`crate::NaiveOptions`], and the
-/// distillation executor). Large enough to never bind on the paper's
-/// workloads, small enough to stop a combinatorial blow-up (many-input
-/// relations under the naive algorithm) before it exhausts memory.
+/// evaluator ([`crate::ExecOptions`] and [`crate::NaiveOptions`]). Large
+/// enough to never bind on the paper's workloads, small enough to stop a
+/// combinatorial blow-up (many-input relations under the naive algorithm)
+/// before it exhausts memory.
 pub const DEFAULT_ACCESS_BUDGET: usize = 10_000_000;
 
 /// A deduplicating log of performed accesses and their extractions, with

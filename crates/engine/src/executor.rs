@@ -54,7 +54,7 @@ use crate::{
 
 /// How aggressively an execution avoids provably useless work. The tiers
 /// are totally ordered — each level includes everything below it — so each
-/// tier's savings is independently benchmarkable (`benches/relevance.rs`).
+/// tier's savings is independently measurable (`tests/relevance.rs`).
 ///
 /// * [`PruningLevel::Off`] — no relevance reasoning at all. The engine
 ///   treats it like `Static` (plan interpretation cannot un-minimize a
@@ -116,9 +116,6 @@ impl std::str::FromStr for PruningLevel {
 pub struct ExecOptions {
     /// Hard cap on distinct accesses.
     pub max_accesses: usize,
-    /// Run the early non-emptiness checks (disable to compare against the
-    /// plain fixpoint execution; the answer is unaffected).
-    pub fail_fast: bool,
     /// How each round's access frontier is dispatched (worker threads,
     /// batched round trips). The default is the sequential path.
     pub dispatch: DispatchOptions,
@@ -147,7 +144,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             max_accesses: DEFAULT_ACCESS_BUDGET,
-            fail_fast: true,
             dispatch: DispatchOptions::default(),
             prune_level: PruningLevel::default(),
             first_k: None,
@@ -211,20 +207,7 @@ pub fn execute_plan(
     provider: &dyn SourceProvider,
     options: ExecOptions,
 ) -> Result<ExecutionReport, EngineError> {
-    execute_plan_with(plan, provider, options, &mut AccessLog::new())
-}
-
-/// [`execute_plan`] with a caller-provided access log. The log is the
-/// meta-cache: several plans run over one log — e.g. the disjuncts of a
-/// union of conjunctive queries — share extractions and never repeat an
-/// access across plans.
-pub fn execute_plan_with(
-    plan: &QueryPlan,
-    provider: &dyn SourceProvider,
-    options: ExecOptions,
-    log: &mut AccessLog,
-) -> Result<ExecutionReport, EngineError> {
-    execute_plan_cached(plan, provider, options, None, log)
+    execute_plan_cached(plan, provider, options, None, &mut AccessLog::new())
 }
 
 /// [`execute_plan`] over two tiers of caching. The access `log` is the
@@ -336,7 +319,7 @@ fn run_plan(
         );
         'positions: for position in 1..=plan.k {
             // Fast-failing check over the fully populated query-atom caches.
-            if options.fail_fast && !subquery_satisfiable(plan, &answer_rule, position, &facts) {
+            if !subquery_satisfiable(plan, &answer_rule, position, &facts) {
                 failed_at_position = Some(position);
                 break 'positions;
             }
@@ -817,19 +800,8 @@ mod tests {
         assert!(report.failed_at_position.is_some());
         let r2 = schema.relation_id("r2").unwrap();
         assert_eq!(report.stats.accesses_to(r2), 0, "r2 must not be probed");
-        // Without fail-fast the same (empty) answer is computed, with at
-        // least as many accesses.
-        let slow = execute_plan(
-            &planned.plan,
-            &src,
-            ExecOptions {
-                fail_fast: false,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(slow.answers.is_empty());
-        assert!(slow.stats.total_accesses >= report.stats.total_accesses);
+        // Plain fixpoint semantics computes the same (empty) answer.
+        assert!(fixpoint_answers(&planned.plan, &src).is_empty());
     }
 
     #[test]

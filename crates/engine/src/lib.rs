@@ -19,7 +19,7 @@
 //!   twice. Sharing across executions and sessions is the second tier,
 //!   [`SharedAccessCache`] (re-exported from [`toorjah_cache`]), which
 //!   [`execute_plan_cached`], [`execute_union_cached`] and
-//!   [`execute_negated_cached`] take;
+//!   [`execute_negated_plan`] take;
 //! * the **evaluation kernel** (`kernel`, internal): the single
 //!   round-based loop — collect frontier → runtime relevance filter →
 //!   dispatch → fold, iterated to a fixpoint — that every evaluator is a
@@ -68,14 +68,14 @@ pub use dispatch::{DispatchOptions, DispatchReport};
 pub use emit::AnswerEmitter;
 pub use error::EngineError;
 pub use executor::{
-    execute_plan, execute_plan_cached, execute_plan_streamed, execute_plan_with, ExecOptions,
-    ExecutionReport, PruningLevel,
+    execute_plan, execute_plan_cached, execute_plan_streamed, ExecOptions, ExecutionReport,
+    PruningLevel,
 };
 pub use join::{cq_satisfiable, evaluate_cq, evaluate_cq_subset};
 pub use naive::{naive_evaluate, NaiveOptions, NaiveResult};
 pub use negation::{
-    execute_negated, execute_negated_cached, execute_negated_plan, negation_checks, plan_negated,
-    NegatedPlan, NegationChecks, NegationError, NegationReport,
+    execute_negated, execute_negated_plan, negation_checks, plan_negated, NegatedPlan,
+    NegationChecks, NegationError, NegationReport,
 };
 pub use source::{AccessResult, FlakySource, InstanceSource, LatencySource, SourceProvider};
 pub use union::{execute_union, execute_union_cached, execute_union_streamed, UnionReport};

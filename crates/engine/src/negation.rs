@@ -173,22 +173,6 @@ pub fn execute_negated(
     execute_negated_plan(&plan, provider, options, None, &mut AccessLog::new())
 }
 
-/// [`execute_negated`] against a caller-provided [`SharedAccessCache`]: the
-/// positive plan *and* the per-candidate negation checks share it with
-/// every query over the handle. Within the query, the access log already
-/// makes repeated checks free (the paper's meta-cache discipline).
-pub fn execute_negated_cached(
-    query: &NegatedQuery,
-    schema: &Schema,
-    provider: &dyn SourceProvider,
-    options: ExecOptions,
-    cache: &SharedAccessCache,
-) -> Result<NegationReport, NegationError> {
-    let plan = plan_negated(query, schema, &Planner::default())?;
-    let mut log = AccessLog::new();
-    execute_negated_plan(&plan, provider, options, Some(cache), &mut log)
-}
-
 /// Executes an already planned negated query ([`plan_negated`]): the
 /// positive plan runs through the fast-failing executor, then
 /// [`negation_checks`] decides every negated atom exactly. All accesses are
@@ -234,9 +218,9 @@ pub fn execute_negated_plan(
 /// performed are exactly those of the candidate-at-a-time strategy (a
 /// candidate reaches atom j iff atoms before j produced no witness for it),
 /// only batched. `candidates` are extended-head tuples as produced by the
-/// positive plan of a [`NegatedPlan`] — by any executor (the sequential
-/// fast-failing path or the distillation executor): the checks only need
-/// the assignments, not the schedule that found them.
+/// positive plan of a [`NegatedPlan`] — by any schedule (whole, first-k or
+/// streamed): the checks only need the assignments, not the schedule that
+/// found them.
 #[allow(clippy::too_many_arguments)]
 pub fn negation_checks(
     plan: &NegatedPlan,

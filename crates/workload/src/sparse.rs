@@ -20,8 +20,8 @@
 //! those are depends on the data — exactly the relevance that static
 //! analysis cannot decide.
 //!
-//! Everything is deterministic given the seed, so the `relevance` bench
-//! and `tests/relevance.rs` are reproducible.
+//! Everything is deterministic given the seed, so `tests/relevance.rs`
+//! and perfbench's `remote_sources` workload are reproducible.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

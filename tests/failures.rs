@@ -5,7 +5,7 @@
 use toorjah::catalog::{tuple, Instance, Schema};
 use toorjah::core::plan_query;
 use toorjah::engine::{
-    execute_plan, execute_plan_with, naive_evaluate, AccessLog, EngineError, ExecOptions,
+    execute_plan, execute_plan_cached, naive_evaluate, AccessLog, EngineError, ExecOptions,
     FlakySource, InstanceSource, NaiveOptions, SourceProvider,
 };
 use toorjah::query::parse_query;
@@ -84,7 +84,7 @@ fn access_trace_respects_plan_positions() {
     let q = parse_query("q(W) <- a(X, Y), b(Y, Z), c(Z, W)", &schema).unwrap();
     let planned = plan_query(&q, &schema).unwrap();
     let mut log = AccessLog::new();
-    execute_plan_with(&planned.plan, &src, ExecOptions::default(), &mut log).unwrap();
+    execute_plan_cached(&planned.plan, &src, ExecOptions::default(), None, &mut log).unwrap();
 
     // Map relations to their cache positions; the trace must be
     // non-decreasing in position (a chain plan: a ≺ b ≺ c).
@@ -118,9 +118,9 @@ fn meta_cache_reuse_across_plans_counts_once() {
     let p1 = plan_query(&q1, &schema).unwrap();
     let p2 = plan_query(&q2, &schema).unwrap();
     let mut log = AccessLog::new();
-    execute_plan_with(&p1.plan, &src, ExecOptions::default(), &mut log).unwrap();
+    execute_plan_cached(&p1.plan, &src, ExecOptions::default(), None, &mut log).unwrap();
     let after_first = log.total();
-    execute_plan_with(&p2.plan, &src, ExecOptions::default(), &mut log).unwrap();
+    execute_plan_cached(&p2.plan, &src, ExecOptions::default(), None, &mut log).unwrap();
     // q2 only pays for relation c on top of q1's accesses.
     let c = schema.relation_id("c").unwrap();
     assert_eq!(log.total(), after_first + log.stats().accesses_to(c));

@@ -7,27 +7,32 @@
 /// "never repeat an access" guarantee therefore degrades gracefully into
 /// "never repeat an access *while the extraction is retained*" — the access
 /// *set semantics* of per-query statistics are unaffected (see DESIGN.md).
+///
+/// A bounded cache holds its whole budget in one shard and evicts by
+/// GreedyDual-Size: each entry is valued at one saved access per unit of
+/// budget it holds, aged by the priority of the last eviction (see
+/// DESIGN.md).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EvictionPolicy {
     /// Keep every extraction forever (the paper's meta-cache behavior).
     #[default]
     Unbounded,
-    /// Keep at most this many extractions, evicting least-recently-used.
+    /// Keep at most this many extractions. Every entry is charged 1, so
+    /// GreedyDual-Size evicts the least recently used.
     MaxEntries(usize),
     /// Keep at most this many bytes of extractions (keys and tuples
     /// accounted via [`toorjah_catalog::Tuple::estimated_bytes`]), evicting
-    /// least-recently-used.
+    /// the entry that saves the fewest accesses per byte retained.
     MaxBytes(usize),
 }
 
 /// Configuration of a [`crate::SharedAccessCache`].
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
-    /// Number of independently locked shards. More shards reduce contention
-    /// between concurrent queries; budgets are split evenly across shards,
-    /// so the configured [`CacheConfig::eviction`] budget is a *total* that
-    /// is never exceeded. The constructor clamps the count so every shard
-    /// gets a non-zero slice of the budget.
+    /// Number of independently locked shards of an unbounded cache. More
+    /// shards reduce contention between concurrent queries. A bounded cache
+    /// is always one shard, so its [`CacheConfig::eviction`] budget is one
+    /// pool that no partition of the keys can fragment.
     pub shards: usize,
     /// The eviction policy.
     pub eviction: EvictionPolicy,
@@ -48,7 +53,8 @@ impl CacheConfig {
         CacheConfig::default()
     }
 
-    /// An LRU cache keeping at most `entries` extractions in total.
+    /// A one-shard cache keeping at most `entries` extractions, evicting
+    /// the least recently used.
     pub fn max_entries(entries: usize) -> Self {
         CacheConfig {
             eviction: EvictionPolicy::MaxEntries(entries),
@@ -56,7 +62,8 @@ impl CacheConfig {
         }
     }
 
-    /// An LRU cache keeping at most `bytes` estimated bytes in total.
+    /// A one-shard cache keeping at most `bytes` estimated bytes, evicting
+    /// by GreedyDual-Size.
     pub fn max_bytes(bytes: usize) -> Self {
         CacheConfig {
             eviction: EvictionPolicy::MaxBytes(bytes),
@@ -64,31 +71,19 @@ impl CacheConfig {
         }
     }
 
-    /// Overrides the shard count.
+    /// Overrides the shard count of an unbounded cache; a bounded cache
+    /// stays one shard, so on one this has no effect.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
 
-    /// The effective shard count: clamped so that per-shard budget slices
-    /// stay non-zero (a 10-entry budget over 16 shards would otherwise
-    /// round down to caching nothing).
+    /// The effective shard count: one for a bounded cache, whose budget is
+    /// one pool, and at least one otherwise.
     pub(crate) fn effective_shards(&self) -> usize {
-        let wanted = self.shards.max(1);
         match self.eviction {
-            EvictionPolicy::Unbounded => wanted,
-            EvictionPolicy::MaxEntries(n) => wanted.min(n.max(1)),
-            EvictionPolicy::MaxBytes(b) => wanted.min(b.max(1)),
-        }
-    }
-
-    /// Per-shard (entries, bytes) budget; `usize::MAX` means unlimited.
-    pub(crate) fn shard_budget(&self) -> (usize, usize) {
-        let shards = self.effective_shards();
-        match self.eviction {
-            EvictionPolicy::Unbounded => (usize::MAX, usize::MAX),
-            EvictionPolicy::MaxEntries(n) => (n / shards, usize::MAX),
-            EvictionPolicy::MaxBytes(b) => (usize::MAX, b / shards),
+            EvictionPolicy::Unbounded => self.shards.max(1),
+            EvictionPolicy::MaxEntries(_) | EvictionPolicy::MaxBytes(_) => 1,
         }
     }
 }
@@ -96,29 +91,62 @@ impl CacheConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SharedAccessCache;
+    use toorjah_catalog::{tuple, RelationId};
 
     #[test]
     fn shard_clamping_keeps_budgets_positive() {
+        // A bounded cache is one shard holding the whole budget, whatever
+        // shard count it asks for.
         let c = CacheConfig::max_entries(3).with_shards(16);
-        assert_eq!(c.effective_shards(), 3);
-        assert_eq!(c.shard_budget(), (1, usize::MAX));
+        assert_eq!(c.effective_shards(), 1);
+        assert_eq!(c.eviction, EvictionPolicy::MaxEntries(3));
         let c = CacheConfig::max_bytes(100).with_shards(8);
-        assert_eq!(c.effective_shards(), 8);
-        assert_eq!(c.shard_budget(), (usize::MAX, 12));
+        assert_eq!(c.effective_shards(), 1);
+        assert_eq!(c.eviction, EvictionPolicy::MaxBytes(100));
+        assert_eq!(
+            CacheConfig::unbounded().with_shards(16).effective_shards(),
+            16
+        );
     }
 
     #[test]
     fn totals_never_exceed_configured_budget() {
-        // shards × per-shard slice ≤ configured total, for any combination.
-        for total in [1usize, 2, 7, 100, 1000] {
+        // Under any shard count the whole budget is usable and never
+        // exceeded: an entry cap fills to exactly its total, and a byte
+        // budget retains an entry as large as the budget itself.
+        let r = RelationId(0);
+        for total in [1usize, 2, 7, 100] {
             for shards in [1usize, 2, 3, 8, 64] {
-                let c = CacheConfig::max_entries(total).with_shards(shards);
-                let (per_shard, _) = c.shard_budget();
-                assert!(c.effective_shards() * per_shard <= total);
-                let c = CacheConfig::max_bytes(total).with_shards(shards);
-                let (_, per_shard) = c.shard_budget();
-                assert!(c.effective_shards() * per_shard <= total);
+                let cache =
+                    SharedAccessCache::new(CacheConfig::max_entries(total).with_shards(shards));
+                for i in 0..2 * total as i64 {
+                    assert!(cache.insert(r, &tuple![i], vec![tuple![i]]));
+                    assert!(cache.len() <= total);
+                }
+                assert_eq!(cache.len(), total);
             }
+        }
+        let sized = |n: i64| (0..n).map(|i| tuple![i, i]).collect::<Vec<_>>();
+        let one = SharedAccessCache::unbounded();
+        one.insert(r, &tuple![0], sized(20));
+        let total = one.bytes();
+        for shards in [1usize, 2, 3, 8, 64] {
+            let cache = SharedAccessCache::new(CacheConfig::max_bytes(total).with_shards(shards));
+            assert!(
+                cache.insert(r, &tuple![0], sized(20)),
+                "fits the whole budget"
+            );
+            assert_eq!(cache.bytes(), total);
+            for i in 1..40 {
+                cache.insert(r, &tuple![i], sized(i % 7));
+                assert!(cache.bytes() <= total);
+            }
+            assert!(
+                !cache.insert(r, &tuple![99], sized(21)),
+                "larger than the budget"
+            );
+            assert_eq!(cache.stats().oversized, 1);
         }
     }
 

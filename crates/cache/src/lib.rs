@@ -15,14 +15,17 @@
 //! whole workload:
 //!
 //! * [`SharedAccessCache`] — extractions keyed by `(relation, binding)`,
-//!   partitioned into independently locked shards (`parking_lot` mutexes),
-//!   cheap to clone and share between sessions and threads;
+//!   partitioned into independently locked shards (`parking_lot` mutexes)
+//!   when unbounded, cheap to clone and share between sessions and threads;
 //! * **single-flight coalescing** — concurrent misses on one key perform
 //!   the source access exactly once; everyone else blocks on the in-flight
 //!   access and shares its extraction;
-//! * [`EvictionPolicy`] — unbounded (the paper's semantics), LRU by entry
-//!   count, or LRU by a byte budget accounted through
-//!   [`toorjah_catalog::Tuple::estimated_bytes`];
+//! * [`EvictionPolicy`] — unbounded (the paper's semantics), or one global
+//!   budget of entries or of bytes (accounted through
+//!   [`toorjah_catalog::Tuple::estimated_bytes`]) held by a single shard and
+//!   spent by GreedyDual-Size eviction: an entry is worth one saved access
+//!   per unit of budget it holds, so under an entry cap the order is
+//!   least-recently-used;
 //! * [`CacheStats`] — hit / coalesced-hit / miss / eviction counters plus
 //!   occupancy, with [`CacheStats::delta_since`] for per-query attribution.
 //!   Counters are kept **per shard** ([`ShardCounters`], surfaced by

@@ -1,9 +1,15 @@
 //! The sharded store: per-shard maps under `parking_lot` locks, single-flight
-//! miss coalescing, and lazy-LRU eviction.
+//! miss coalescing, and GreedyDual-Size eviction over one global budget.
+//!
+//! An unbounded cache spreads its keys over several shards, so concurrent
+//! queries rarely contend for one lock. A bounded cache is one shard: its
+//! budget is one pool, and [`GreedyDual`] spends it on the entries that save
+//! the most accesses per byte retained, whichever keys they are.
 
 use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, RandomState};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{
     Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock, PoisonError,
@@ -13,7 +19,7 @@ use parking_lot::Mutex;
 use toorjah_catalog::{AccessKey, FastHasher, RelationId, Tuple};
 use toorjah_obs::{EventKind, Obs};
 
-use crate::{CacheConfig, CacheStats, Counters, ShardCounters};
+use crate::{CacheConfig, CacheStats, Counters, EvictionPolicy, ShardCounters};
 
 /// Cache key: one access in the paper's sense (§II) — a relation plus the
 /// tuple of values bound to its input positions.
@@ -255,7 +261,8 @@ pub fn extraction(tuples: Vec<Tuple>) -> Arc<[Tuple]> {
 struct Ready {
     tuples: Arc<[Tuple]>,
     bytes: usize,
-    last_used: u64,
+    /// Its place in a bounded cache's eviction order (zero when unbounded).
+    rank: Rank,
 }
 
 enum Slot {
@@ -264,94 +271,192 @@ enum Slot {
     Pending(Arc<Flight>, usize),
 }
 
-/// Lazy recency queue: `(tick, key)` pushed on every touch; stale pairs
-/// (the entry was touched again, or is gone) are skipped at eviction time
-/// and dropped wholesale by [`Shard::compact_recency`]. Amortized O(1) per
-/// touch and per eviction, O(retained entries) in space.
-#[derive(Default)]
-struct Recency {
-    queue: VecDeque<(u64, Key)>,
-    /// `false` for unbounded caches: nothing will ever be evicted, so
-    /// recency bookkeeping would only leak memory per lookup.
-    tracks: bool,
+/// An entry's GreedyDual-Size priority, ties broken by the tick of its last
+/// touch (older first). Ticks are unique, so a rank names one touch.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Rank {
+    priority: u64,
     tick: u64,
 }
 
-impl Recency {
-    fn touch(&mut self, key: &Key) -> u64 {
-        self.tick += 1;
-        if self.tracks {
-            self.queue.push_back((self.tick, key.clone()));
+/// One access saved, in priority units: an entry charged `c` units of the
+/// budget is worth `SAVED / c` above the level it was touched at.
+const SAVED: u64 = 1 << 32;
+
+/// The highest level a touch can start from without its priority
+/// overflowing; past it, every priority is rebased down by the level.
+const LEVEL_CEILING: u64 = u64::MAX - SAVED;
+
+/// GreedyDual-Size eviction (Cao & Irani) over a bounded cache's budget.
+///
+/// A miss costs one access whatever the extraction's size (the paper's cost
+/// model), so an entry is worth one saved access per unit of budget it
+/// holds: its priority is `level + SAVED / charge`, its charge being its
+/// [`entry_bytes`] under a byte budget and 1 under an entry cap. A hit or an
+/// insertion sets the entry's priority afresh from the current `level`.
+/// While the budget is exceeded, eviction removes the lowest priority (the
+/// oldest touch among equals; a just-inserted entry is a candidate too) and
+/// raises `level` to it, so entries left untouched sink below those touched
+/// since. Under an entry cap every increment is equal, and the order is
+/// least-recently-used.
+///
+/// The queue is lazy: a touch pushes a fresh `(rank, key)` pair (ranks are
+/// unique, so keys are never compared); pairs gone stale (the entry was
+/// touched again, or is gone) are skipped when popped and dropped wholesale
+/// by [`Shard::compact`]. O(log n) per touch and per eviction, O(retained
+/// entries) in space.
+struct GreedyDual {
+    /// The whole budget, in entries or estimated bytes.
+    limit: usize,
+    /// Whether an entry is charged its estimated bytes (else 1).
+    by_bytes: bool,
+    /// The priority of the last eviction; no retained entry ranks below it.
+    level: u64,
+    tick: u64,
+    queue: BinaryHeap<Reverse<(Rank, Key)>>,
+}
+
+impl GreedyDual {
+    /// The bookkeeping a policy needs; `None` when nothing is ever evicted.
+    fn new(eviction: EvictionPolicy) -> Option<Self> {
+        let (limit, by_bytes) = match eviction {
+            EvictionPolicy::Unbounded => return None,
+            EvictionPolicy::MaxEntries(n) => (n, false),
+            EvictionPolicy::MaxBytes(b) => (b, true),
+        };
+        Some(GreedyDual {
+            limit,
+            by_bytes,
+            level: 0,
+            tick: 0,
+            queue: BinaryHeap::new(),
+        })
+    }
+
+    /// What an entry of `bytes` estimated bytes takes of the budget.
+    fn charge(&self, bytes: usize) -> usize {
+        if self.by_bytes {
+            bytes
+        } else {
+            1
         }
-        self.tick
+    }
+
+    /// Ranks a touch of `key` (a hit or an insertion) from the current
+    /// level. Eviction rebases any level above `LEVEL_CEILING`, so the sum
+    /// cannot overflow.
+    fn touch(&mut self, key: &Key, bytes: usize) -> Rank {
+        self.tick += 1;
+        let charge = u64::try_from(self.charge(bytes)).unwrap_or(u64::MAX).max(1);
+        let rank = Rank {
+            priority: self.level.saturating_add(SAVED / charge),
+            tick: self.tick,
+        };
+        self.queue.push(Reverse((rank, key.clone())));
+        rank
     }
 }
 
 /// One independently locked slice of the cache.
 pub(crate) struct Shard {
     map: HashMap<Key, Slot, KeyHashing>,
-    recency: Recency,
+    /// `None` for unbounded caches: nothing will ever be evicted, so
+    /// eviction bookkeeping would only leak memory per lookup.
+    eviction: Option<GreedyDual>,
     ready_entries: usize,
     bytes: usize,
 }
 
 impl Shard {
-    fn new(tracks_recency: bool, hashing: KeyHashing) -> Self {
+    fn new(eviction: EvictionPolicy, hashing: KeyHashing) -> Self {
         Shard {
             map: HashMap::with_hasher(hashing),
-            recency: Recency {
-                tracks: tracks_recency,
-                ..Recency::default()
-            },
+            eviction: GreedyDual::new(eviction),
             ready_entries: 0,
             bytes: 0,
         }
     }
 
-    /// Rebuilds the recency queue from the live entries once stale pairs
-    /// dominate it, so hit-heavy workloads between evictions cannot grow
-    /// the bookkeeping beyond O(retained entries).
-    fn compact_recency(&mut self) {
-        let queue = &mut self.recency.queue;
-        if queue.len() < 64 || queue.len() < 4 * self.ready_entries {
-            return;
+    /// Re-ranks a retained entry on a hit.
+    fn touch(eviction: &mut Option<GreedyDual>, key: &Key, ready: &mut Ready) {
+        if let Some(policy) = eviction {
+            ready.rank = policy.touch(key, ready.bytes);
         }
-        let mut live: Vec<(u64, Key)> = self
+    }
+
+    /// Rebuilds the queue from the live entries once stale pairs dominate
+    /// it, so hit-heavy workloads between evictions cannot grow the
+    /// bookkeeping beyond O(retained entries).
+    fn compact(&mut self) {
+        let Some(policy) = &self.eviction else {
+            return;
+        };
+        let queued = policy.queue.len();
+        if queued >= 64 && queued >= 4 * self.ready_entries {
+            self.rebuild(0);
+        }
+    }
+
+    /// Rebuilds the queue from the live entries, every priority and the
+    /// level lowered by `shift` (at most the level, which no retained
+    /// priority is below, so the order is unchanged).
+    fn rebuild(&mut self, shift: u64) {
+        let Some(policy) = &mut self.eviction else {
+            return;
+        };
+        let live: Vec<Reverse<(Rank, Key)>> = self
             .map
-            .iter()
+            .iter_mut()
             .filter_map(|(key, slot)| match slot {
-                Slot::Ready(ready) => Some((ready.last_used, key.clone())),
+                Slot::Ready(ready) => {
+                    ready.rank.priority = ready.rank.priority.saturating_sub(shift);
+                    Some(Reverse((ready.rank, key.clone())))
+                }
                 Slot::Pending(..) => None,
             })
             .collect();
-        live.sort_unstable_by_key(|(last_used, _)| *last_used);
-        *queue = live.into();
+        policy.queue = live.into();
+        policy.level = policy.level.saturating_sub(shift);
     }
 
-    /// Evicts least-recently-used ready entries until the shard respects its
-    /// `(max_entries, max_bytes)` slice. Pending entries are never evicted.
-    fn evict_to_budget(
-        &mut self,
-        max_entries: usize,
-        max_bytes: usize,
-        counters: &Counters,
-        obs: Obs,
-    ) {
-        while self.ready_entries > max_entries || self.bytes > max_bytes {
-            let Some((tick, key)) = self.recency.queue.pop_front() else {
+    /// Whether an entry of `bytes` estimated bytes exceeds the whole budget,
+    /// so it is handed to its caller but never retained.
+    fn oversized(&self, bytes: usize) -> bool {
+        self.eviction
+            .as_ref()
+            .is_some_and(|policy| policy.charge(bytes) > policy.limit)
+    }
+
+    /// Evicts the lowest-priority ready entries until the shard respects
+    /// its budget. Pending entries are never evicted.
+    fn evict_to_budget(&mut self, counters: &Counters, obs: Obs) {
+        let Some(policy) = &mut self.eviction else {
+            return;
+        };
+        loop {
+            let used = if policy.by_bytes {
+                self.bytes
+            } else {
+                self.ready_entries
+            };
+            if used <= policy.limit {
+                break;
+            }
+            let Some(Reverse((rank, key))) = policy.queue.pop() else {
                 // Only pending entries remain; nothing evictable.
                 break;
             };
-            let evict = matches!(
+            let live = matches!(
                 self.map.get(&key),
-                Some(Slot::Ready(ready)) if ready.last_used == tick
+                Some(Slot::Ready(ready)) if ready.rank.tick == rank.tick
             );
-            if !evict {
-                continue; // stale recency pair
+            if !live {
+                continue; // stale pair
             }
             if let Some(Slot::Ready(ready)) = self.map.remove(&key) {
                 self.ready_entries -= 1;
                 self.bytes -= ready.bytes;
+                policy.level = policy.level.max(rank.priority);
                 Counters::bump(&counters.evictions);
                 obs.trace(0, || EventKind::CacheEvict {
                     key: key.clone(),
@@ -359,12 +464,49 @@ impl Shard {
                 });
             }
         }
+        if policy.level > LEVEL_CEILING {
+            let level = policy.level;
+            self.rebuild(level);
+        }
+    }
+
+    /// Retains `tuples` under `key` (vacant or pending), ranked from the
+    /// current level, then evicts to the budget. The new entry is a
+    /// candidate like any other: one that saves fewer accesses per byte
+    /// than what it would displace leaves again at once.
+    fn retain(
+        &mut self,
+        key: &Key,
+        tuples: Arc<[Tuple]>,
+        bytes: usize,
+        counters: &Counters,
+        obs: Obs,
+    ) {
+        let rank = self
+            .eviction
+            .as_mut()
+            .map_or_else(Rank::default, |policy| policy.touch(key, bytes));
+        let ready = Slot::Ready(Ready {
+            tuples,
+            bytes,
+            rank,
+        });
+        match self.map.get_mut(key) {
+            Some(slot) => *slot = ready,
+            None => {
+                self.map.insert(key.clone(), ready);
+            }
+        }
+        self.ready_entries += 1;
+        self.bytes += bytes;
+        self.evict_to_budget(counters, obs);
+        self.compact();
     }
 }
 
 /// Estimated retained size of one cache entry: the key's binding plus the
 /// extraction, via [`Tuple::estimated_bytes`], plus a fixed per-entry
-/// overhead for the map slot and recency bookkeeping.
+/// overhead for the map slot and eviction bookkeeping.
 ///
 /// Under the interned data plane every value is fixed-size, so an entry's
 /// charge is determined by tuple count and arity alone — string payloads are
@@ -381,10 +523,11 @@ fn entry_bytes(binding: &Tuple, tuples: &[Tuple]) -> usize {
 ///
 /// The cache generalizes the paper's per-query meta-cache (§IV) into a
 /// process-wide structure: extractions are keyed by `(relation, binding)`,
-/// partitioned into independently locked shards, and retained according to a
-/// configurable [`EvictionPolicy`]. Cloning the handle is cheap and shares
-/// the underlying storage, so any number of sessions and threads can serve
-/// overlapping queries without ever repeating a retained access.
+/// partitioned into independently locked shards when unbounded, and
+/// retained according to a configurable [`EvictionPolicy`]. Cloning the
+/// handle is cheap and shares the underlying storage, so any number of
+/// sessions and threads can serve overlapping queries without ever repeating
+/// a retained access.
 ///
 /// Concurrent misses on one key are *coalesced*: the first requester
 /// performs the access while the others block on it and share the result —
@@ -425,8 +568,6 @@ pub(crate) struct Inner {
     pub(crate) counters: Vec<Counters>,
     pub(crate) config: CacheConfig,
     obs: Obs,
-    max_entries_per_shard: usize,
-    max_bytes_per_shard: usize,
 }
 
 impl Clone for SharedAccessCache {
@@ -464,21 +605,16 @@ impl SharedAccessCache {
     /// shard either way; `obs` only controls event emission.
     pub fn with_obs(config: CacheConfig, obs: Obs) -> Self {
         let shards = config.effective_shards();
-        let (max_entries_per_shard, max_bytes_per_shard) = config.shard_budget();
-        let tracks_recency =
-            max_entries_per_shard != usize::MAX || max_bytes_per_shard != usize::MAX;
         // One seed per instance, shared by its shards' maps.
         let hashing = KeyHashing::random();
         SharedAccessCache {
             inner: Arc::new(Inner {
                 shards: (0..shards)
-                    .map(|_| Mutex::new(Shard::new(tracks_recency, hashing)))
+                    .map(|_| Mutex::new(Shard::new(config.eviction, hashing)))
                     .collect(),
                 counters: (0..shards).map(|_| Counters::default()).collect(),
                 config,
                 obs,
-                max_entries_per_shard,
-                max_bytes_per_shard,
             }),
         }
     }
@@ -497,16 +633,18 @@ impl SharedAccessCache {
     /// counter bump for the key goes through this one index, computed once
     /// per request.
     ///
-    /// The partition is a fixed function of the key (`std`'s SipHash under
-    /// its default keys), independent of the seeded hash a shard's map
-    /// indexes its buckets by. A bounded cache splits its budget evenly
-    /// over the shards, so the partition decides which entries compete for
-    /// room: a per-instance random partition would make evictions — and
-    /// with them hits, misses and access counts — differ from one run of
-    /// the same workload to the next. Piling keys into one shard costs an
-    /// adversary nothing it could not do by requesting more keys; piling
-    /// them into one bucket is what the seeded map hash prevents.
+    /// A bounded cache is one shard, so its budget is one pool and which
+    /// entries compete for room does not depend on a partition. An
+    /// unbounded cache evicts nothing, so its partition only spreads lock
+    /// traffic: a fixed function of the key (`std`'s SipHash under its
+    /// default keys), independent of the seeded hash a shard's map indexes
+    /// its buckets by. Piling keys into one shard costs an adversary
+    /// nothing it could not do by requesting more keys; piling them into
+    /// one bucket is what the seeded map hash prevents.
     fn shard_index(&self, key: &Key) -> usize {
+        if self.inner.shards.len() == 1 {
+            return 0;
+        }
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
         (hasher.finish() as usize) % self.inner.shards.len()
@@ -581,40 +719,26 @@ impl SharedAccessCache {
         }
     }
 
-    /// Replaces this caller's pending slot with the loaded extraction and
-    /// enforces the shard budget.
+    /// Replaces this caller's pending slot with the loaded extraction,
+    /// evicting to make room for it.
     fn complete_load(&self, idx: usize, key: &Key, tuples: &Arc<[Tuple]>) {
         let bytes = entry_bytes(&key.1, tuples);
-        let mut guard = self.inner.shards[idx].lock();
-        let shard = &mut *guard;
-        if bytes > self.inner.max_bytes_per_shard {
-            // Oversized for its shard's budget slice: hand the extraction
-            // to the caller without retaining it, instead of flushing every
+        let mut shard = self.inner.shards[idx].lock();
+        if shard.oversized(bytes) {
+            // Larger than the whole budget: hand the extraction to the
+            // caller without retaining it, instead of flushing every
             // smaller (collectively more useful) entry to make room.
             if matches!(shard.map.get(key), Some(Slot::Pending(..))) {
                 shard.map.remove(key);
             }
-            drop(guard);
+            drop(shard);
             Counters::bump(&self.inner.counters[idx].oversized);
             return;
         }
-        let ready = Slot::Ready(Ready {
-            tuples: Arc::clone(tuples),
+        shard.retain(
+            key,
+            Arc::clone(tuples),
             bytes,
-            last_used: shard.recency.touch(key),
-        });
-        match shard.map.get_mut(key) {
-            Some(slot) => *slot = ready,
-            None => {
-                shard.map.insert(key.clone(), ready);
-            }
-        }
-        shard.ready_entries += 1;
-        shard.bytes += bytes;
-        shard.compact_recency();
-        shard.evict_to_budget(
-            self.inner.max_entries_per_shard,
-            self.inner.max_bytes_per_shard,
             &self.inner.counters[idx],
             self.inner.obs,
         );
@@ -629,10 +753,10 @@ impl SharedAccessCache {
     }
 
     /// Non-blocking lookup: the retained extraction, if any. Counts as a hit
-    /// and refreshes recency when present; in-flight accesses return `None`.
-    /// The engine's dispatcher calls it for an access its log already holds,
-    /// so the session cache still counts the request and keeps the entry
-    /// recently used.
+    /// and re-ranks the entry when present; in-flight accesses return
+    /// `None`. The engine's dispatcher calls it for an access its log
+    /// already holds, so the session cache still counts the request and
+    /// keeps the entry's priority current.
     pub fn try_get(&self, relation: RelationId, binding: &Tuple) -> Option<Arc<[Tuple]>> {
         let key: Key = (relation, binding.clone());
         let idx = self.shard_index(&key);
@@ -641,9 +765,9 @@ impl SharedAccessCache {
         let Some(Slot::Ready(ready)) = shard.map.get_mut(&key) else {
             return None;
         };
-        ready.last_used = shard.recency.touch(&key);
+        Shard::touch(&mut shard.eviction, &key, ready);
         let tuples = Arc::clone(&ready.tuples);
-        shard.compact_recency();
+        shard.compact();
         drop(guard);
         Counters::bump(&self.inner.counters[idx].hits);
         Some(tuples)
@@ -656,37 +780,23 @@ impl SharedAccessCache {
         let key: Key = (relation, binding.clone());
         let bytes = entry_bytes(binding, &tuples);
         let idx = self.shard_index(&key);
-        let mut guard = self.inner.shards[idx].lock();
-        let shard = &mut *guard;
-        if bytes > self.inner.max_bytes_per_shard {
-            let present = shard.map.contains_key(&key);
-            drop(guard);
-            if !present {
-                Counters::bump(&self.inner.counters[idx].oversized);
-            }
+        let mut shard = self.inner.shards[idx].lock();
+        if shard.map.contains_key(&key) {
             return false;
         }
-        match shard.map.entry(key) {
-            Entry::Occupied(_) => return false,
-            Entry::Vacant(vacant) => {
-                let last_used = shard.recency.touch(vacant.key());
-                vacant.insert(Slot::Ready(Ready {
-                    tuples: extraction(tuples),
-                    bytes,
-                    last_used,
-                }));
-            }
+        if shard.oversized(bytes) {
+            drop(shard);
+            Counters::bump(&self.inner.counters[idx].oversized);
+            return false;
         }
-        shard.ready_entries += 1;
-        shard.bytes += bytes;
-        shard.compact_recency();
-        shard.evict_to_budget(
-            self.inner.max_entries_per_shard,
-            self.inner.max_bytes_per_shard,
+        shard.retain(
+            &key,
+            extraction(tuples),
+            bytes,
             &self.inner.counters[idx],
             self.inner.obs,
         );
-        drop(guard);
+        drop(shard);
         Counters::bump(&self.inner.counters[idx].insertions);
         true
     }
@@ -728,7 +838,10 @@ impl SharedAccessCache {
             shard
                 .map
                 .retain(|_, slot| matches!(slot, Slot::Pending(..)));
-            shard.recency.queue.clear();
+            if let Some(policy) = &mut shard.eviction {
+                policy.queue.clear();
+                policy.level = 0;
+            }
             shard.ready_entries = 0;
             shard.bytes = 0;
         }
@@ -914,7 +1027,7 @@ impl BatchLoader<'_> {
         let class = match shard.map.entry(key.clone()) {
             Entry::Occupied(mut occupied) => match occupied.get_mut() {
                 Slot::Ready(ready) => {
-                    ready.last_used = shard.recency.touch(key);
+                    Shard::touch(&mut shard.eviction, key, ready);
                     Class::Hit(Arc::clone(&ready.tuples))
                 }
                 Slot::Pending(flight, pos) => {
@@ -937,7 +1050,7 @@ impl BatchLoader<'_> {
         };
         match class {
             Class::Hit(tuples) => {
-                shard.compact_recency();
+                shard.compact();
                 drop(guard);
                 Counters::bump(&cache.inner.counters[idx].hits);
                 self.hits.push((i, tuples));
@@ -1105,6 +1218,15 @@ mod tests {
         vec![tuple![i, "payload"], tuple![i, "more"]]
     }
 
+    /// The pairs in the first shard's eviction queue (none when unbounded).
+    fn queued(cache: &SharedAccessCache) -> usize {
+        let shard = cache.inner.shards[0].lock();
+        shard
+            .eviction
+            .as_ref()
+            .map_or(0, |policy| policy.queue.len())
+    }
+
     #[test]
     fn load_once_then_hit() {
         let cache = SharedAccessCache::unbounded();
@@ -1263,7 +1385,7 @@ mod tests {
         for _ in 0..10_000 {
             cache.get_or_load(r, &k(1), || Ok::<_, ()>(vec![])).unwrap();
         }
-        let recency_len = cache.inner.shards[0].lock().recency.queue.len();
+        let recency_len = queued(&cache);
         assert_eq!(recency_len, 0, "nothing can ever be evicted — no queue");
     }
 
@@ -1281,7 +1403,7 @@ mod tests {
         for _ in 0..10_000 {
             cache.get_or_load(r, &k(0), || Ok::<_, ()>(vec![])).unwrap();
         }
-        let recency_len = cache.inner.shards[0].lock().recency.queue.len();
+        let recency_len = queued(&cache);
         assert!(
             recency_len <= 64,
             "stale pairs must be compacted, found {recency_len}"
@@ -1813,35 +1935,127 @@ mod tests {
 
     #[test]
     fn shard_counters_sum_to_the_stats_totals() {
-        let cache = SharedAccessCache::new(CacheConfig::max_entries(4).with_shards(4));
+        // An unbounded cache spreads keys over its shards; a bounded one is
+        // one shard, whose counters are the totals, evictions included.
+        for (config, shard_count) in [
+            (CacheConfig::unbounded().with_shards(4), 4),
+            (CacheConfig::max_entries(4).with_shards(4), 1),
+        ] {
+            let cache = SharedAccessCache::new(config);
+            let r = RelationId(0);
+            for i in 0..32 {
+                cache
+                    .get_or_load(r, &k(i), || Ok::<_, ()>(extraction(i)))
+                    .unwrap();
+            }
+            for i in 24..32 {
+                let _ = cache.get_or_load(r, &k(i), || Ok::<_, ()>(vec![]));
+            }
+            let _ = cache.get_or_load(r, &k(1000), || Err::<Vec<Tuple>, _>("boom"));
+            let shards = cache.shard_counters();
+            assert_eq!(shards.len(), shard_count, "one snapshot per shard");
+            let stats = cache.stats();
+            assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
+            assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), stats.misses);
+            assert_eq!(
+                shards.iter().map(|s| s.evictions).sum::<u64>(),
+                stats.evictions
+            );
+            assert_eq!(
+                shards.iter().map(|s| s.load_failures).sum::<u64>(),
+                stats.load_failures
+            );
+            if shard_count > 1 {
+                assert!(
+                    shards.iter().filter(|s| s.misses > 0).count() > 1,
+                    "keys spread over more than one shard"
+                );
+            } else {
+                assert!(stats.evictions > 0, "the workload actually evicted");
+            }
+        }
+    }
+
+    /// `count` tuples of one extraction, as a loader returns them.
+    fn sized(key: i64, count: i64) -> Vec<Tuple> {
+        (0..count).map(|i| tuple![key, i]).collect()
+    }
+
+    #[test]
+    fn a_small_entry_hit_again_survives_a_large_insert_that_lru_would_evict_it_for() {
+        let small = entry_bytes(&k(1), &sized(1, 2));
+        let large = entry_bytes(&k(2), &sized(2, 40));
+        assert!(large > 4 * small);
+        // Room for the small entry and one large one, not for two large.
+        let budget = small + large + large / 2;
+        let cache = SharedAccessCache::new(CacheConfig::max_bytes(budget));
         let r = RelationId(0);
-        for i in 0..32 {
+        let load = |key: i64, count: i64| {
             cache
-                .get_or_load(r, &k(i), || Ok::<_, ()>(extraction(i)))
-                .unwrap();
+                .get_or_load(r, &k(key), || Ok::<_, ()>(sized(key, count)))
+                .unwrap()
+        };
+        load(1, 2);
+        assert_eq!(load(1, 2).outcome, LookupOutcome::Hit);
+        load(2, 40);
+        // Least recently used, the small entry would go first (and the
+        // first large one after it). It saves one access in `small` bytes,
+        // the first large entry one in `large`: that one goes.
+        load(3, 40);
+        assert!(cache.contains(r, &k(1)), "the small, reused entry stays");
+        assert!(!cache.contains(r, &k(2)), "the older large entry goes");
+        assert!(cache.contains(r, &k(3)));
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.bytes() <= budget);
+        // A large entry that would displace more saved accesses than it
+        // offers is itself the victim: its insertion evicts nothing else.
+        let before = cache.stats().evictions;
+        load(4, 50);
+        assert!(cache.contains(r, &k(1)));
+        assert_eq!(cache.stats().evictions, before + 1);
+        assert!(cache.bytes() <= budget);
+    }
+
+    #[test]
+    fn priorities_near_the_top_of_their_range_are_rebased_without_overflow() {
+        for config in [CacheConfig::max_entries(3), CacheConfig::max_bytes(1500)] {
+            let cache = SharedAccessCache::new(config);
+            let r = RelationId(0);
+            let level = |cache: &SharedAccessCache| {
+                cache.inner.shards[0]
+                    .lock()
+                    .eviction
+                    .as_ref()
+                    .unwrap()
+                    .level
+            };
+            // As if ~2^32 evictions had already raised the level: the next
+            // touch ranks at the very top of the range.
+            cache.inner.shards[0]
+                .lock()
+                .eviction
+                .as_mut()
+                .unwrap()
+                .level = LEVEL_CEILING;
+            cache.insert(r, &k(0), extraction(0));
+            match &cache.inner.shards[0].lock().map[&(r, k(0))] {
+                Slot::Ready(ready) => assert!(ready.rank.priority > LEVEL_CEILING),
+                Slot::Pending(..) => panic!("inserted entries are retained"),
+            }
+            let mut rebased = false;
+            for i in 1..200 {
+                // Key 0 stays hot; the rest stream through.
+                assert!(cache.try_get(r, &k(0)).is_some(), "round {i}");
+                cache
+                    .get_or_load(r, &k(i), || Ok::<_, ()>(extraction(i)))
+                    .unwrap();
+                rebased |= level(&cache) < LEVEL_CEILING / 2;
+                assert!(level(&cache) <= LEVEL_CEILING);
+            }
+            assert!(rebased, "the level was rebased once it passed the ceiling");
+            assert!(cache.contains(r, &k(0)), "rebasing keeps the order");
+            assert!(cache.stats().evictions > 0);
         }
-        for i in 24..32 {
-            let _ = cache.get_or_load(r, &k(i), || Ok::<_, ()>(vec![]));
-        }
-        let _ = cache.get_or_load(r, &k(1000), || Err::<Vec<Tuple>, _>("boom"));
-        let shards = cache.shard_counters();
-        assert_eq!(shards.len(), 4, "one snapshot per shard");
-        let stats = cache.stats();
-        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
-        assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), stats.misses);
-        assert_eq!(
-            shards.iter().map(|s| s.evictions).sum::<u64>(),
-            stats.evictions
-        );
-        assert_eq!(
-            shards.iter().map(|s| s.load_failures).sum::<u64>(),
-            stats.load_failures
-        );
-        assert!(stats.evictions > 0, "the workload actually evicted");
-        assert!(
-            shards.iter().filter(|s| s.misses > 0).count() > 1,
-            "keys spread over more than one shard"
-        );
     }
 
     #[test]

@@ -53,7 +53,8 @@ pub struct ShardCounters {
     pub insertions: u64,
     /// Extractions this shard's eviction policy discarded.
     pub evictions: u64,
-    /// Oversized extractions this shard refused to retain.
+    /// Extractions larger than the whole budget, which this shard refused
+    /// to retain.
     pub oversized: u64,
 }
 
@@ -78,8 +79,8 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Extractions discarded by the eviction policy.
     pub evictions: u64,
-    /// Extractions too large for their shard's byte-budget slice — handed
-    /// to the caller but never retained.
+    /// Extractions larger than the whole budget — handed to the caller but
+    /// never retained.
     pub oversized: u64,
     /// Extractions currently retained.
     pub entries: usize,

@@ -5,8 +5,9 @@
 //!
 //! * a shared session cache reduces total source accesses by ≥ 40%
 //!   versus per-query caches;
-//! * byte-accounted LRU eviction keeps the cache under its configured
-//!   budget at every point of the workload;
+//! * byte-accounted GreedyDual-Size eviction keeps the cache under its
+//!   configured budget at every point of the workload, and performs the
+//!   same accesses whatever shard count the cache asks for;
 //! * answers are identical to cold execution in **all** modes (unbounded,
 //!   entry-capped, byte-capped, warm-started, concurrent, flaky);
 //! * parallel `ask` calls over one `SharedAccessCache` never duplicate a
@@ -322,4 +323,57 @@ fn union_and_negation_share_the_session_cache() {
     let warm = session.ask("q(N) <- r1('a0', N, Y)").unwrap();
     assert_eq!(warm.profile.stats.total_accesses, 0);
     assert!(warm.profile.accesses_served_by_cache > 0);
+}
+
+/// Statements per pass, as perfbench's `remote_sources` runs them.
+const PASS: usize = 24;
+
+/// Runs each pass of `passes` as `remote_sources` does: the session cache
+/// emptied first, then every statement streamed over it. Returns every
+/// statement's answers, in order, and the accesses performed in total.
+fn streamed_passes(cache: &SharedAccessCache, passes: &[String]) -> (Vec<Vec<Tuple>>, u64) {
+    let session = Toorjah::new(provider()).with_cache(cache.clone());
+    let mut answers = Vec::with_capacity(passes.len());
+    let mut performed = 0;
+    for pass in passes.chunks(PASS) {
+        cache.clear();
+        for text in pass {
+            let result = session.ask_with(text, ExecMode::Streaming).unwrap();
+            performed += result.profile.accesses_performed;
+            answers.push(result.answers);
+        }
+    }
+    (answers, performed)
+}
+
+#[test]
+fn a_bounded_cache_performs_the_same_accesses_under_any_shard_count() {
+    let statements = overlapping_queries(&OverlapParams {
+        queries: 16 * PASS,
+        seed: 2,
+        ..OverlapParams::default()
+    });
+    // The cap is half of what one pass retains unbounded, averaged over the
+    // passes (perfbench's `remote_sources` averages its first eight and
+    // arrives at the same 17,960 bytes).
+    let unbounded = SharedAccessCache::unbounded();
+    let mut working_set = 0;
+    for pass in statements.chunks(PASS) {
+        streamed_passes(&unbounded, pass);
+        working_set += unbounded.bytes();
+    }
+    let cap = working_set / (statements.len() / PASS) / 2;
+    assert_eq!(cap, 17_960);
+    let (reference, floor) = streamed_passes(&unbounded, &statements);
+    assert_eq!(floor, 832, "the unbounded floor");
+
+    for shards in [1, 8, 16] {
+        let cache = SharedAccessCache::new(CacheConfig::max_bytes(cap).with_shards(shards));
+        let (answers, performed) = streamed_passes(&cache, &statements);
+        assert_eq!(answers, reference, "answers invariant at {shards} shards");
+        // One global budget under GreedyDual-Size: the same count whatever
+        // the shard count asked for.
+        assert_eq!(performed, 1_417, "accesses performed at {shards} shards");
+        assert!(cache.bytes() <= cap);
+    }
 }
